@@ -12,7 +12,8 @@ Every subcommand accepts --config FILE, a plain key=value file (one pair
 per line, # starts a comment, keys match the long flag names with - or _).
 Explicit flags override config values; config values override built-in
 defaults. Exit status: 0 on success, 1 on blow-up or a failed check,
-2 on a usage or configuration error.
+2 on a usage or configuration error or an output file that cannot be
+written, reported in one line.
 """
 
 from __future__ import annotations
@@ -338,7 +339,8 @@ def cli_main(argv: Optional[list] = None) -> int:
             return _cmd_check(args)
         parser.print_usage(sys.stderr)
         return 2
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # an OSError here comes from an output path the user named
         print(f"vorspec: {exc}", file=sys.stderr)
         return 2
     except BlowUpError as exc:

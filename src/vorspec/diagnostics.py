@@ -21,13 +21,12 @@ Gauss-Newton with an analytic Jacobian.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import TelescopeSolveError
 from .fields import FlowState
-from .spectral import ScalarField, divergence, l2_norm
+from .spectral import ScalarField, _half_norm_sq, _half_spectrum, l2_norm
 
 __all__ = [
     "TelescopeCoeffs",
@@ -195,10 +194,20 @@ def solve_telescope_coefficients(starts: int = TELESCOPE_STARTS,
                            distinct_solutions=len(distinct))
 
 
-@lru_cache(maxsize=1)
+# solve_telescope_coefficients() with its default starts and seed, printed
+# with %.17g; tests check that the solver reproduces these bit for bit
+_CANONICAL = TelescopeCoeffs(
+    alpha=(0.160048343646324, 0.20737576393772242, -0.2422938134001994,
+           1.3059040764247436, -0.86032780215009064, 0.24229381340019659,
+           1.3757401753496983, -1.9937741640995932, 0.86032780215009141,
+           -0.24229381340019646),
+    residual=8.8817841970012523e-16,
+    distinct_solutions=2)
+
+
 def get_telescope_coefficients() -> TelescopeCoeffs:
-    """Cached default solve; the coefficients never change within a process."""
-    return solve_telescope_coefficients()
+    """The canonical coefficients of the default solve, without solving."""
+    return _CANONICAL
 
 
 def _decomposition_rhs_scalar(al, a, b, c, d):
@@ -273,36 +282,27 @@ def hm_norm(f: ScalarField, m: int) -> float:
     """
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
-    g = f.grid
-    power = np.square(np.abs(f.spectral))
-    weight = 1.0 if m == 0 else g._ksq**m
-    return float(np.sqrt(g.length**2 * np.sum(weight * power)))
-
-
-def _l2sq_spec(f: ScalarField) -> float:
-    g = f.grid
-    return float(g.length**2 * np.sum(np.square(np.abs(f.spectral))))
-
-
-def _hmsq_spec(f: ScalarField, m: int) -> float:
-    g = f.grid
-    return float(g.length**2
-                 * np.sum(g._ksq**m * np.square(np.abs(f.spectral))))
+    return float(np.sqrt(_half_norm_sq(f.grid, _half_spectrum(f), m)))
 
 
 def energy(state: FlowState) -> float:
     """Kinetic energy, half the squared L2 norm of the velocity."""
-    return 0.5 * (l2_norm(state.vel.x)**2 + l2_norm(state.vel.y)**2)
+    g = state.grid
+    return 0.5 * (_half_norm_sq(g, _half_spectrum(state.vel.x))
+                  + _half_norm_sq(g, _half_spectrum(state.vel.y)))
 
 
 def enstrophy(state: FlowState) -> float:
     """Half the squared L2 norm of the vorticity."""
-    return 0.5 * l2_norm(state.omega)**2
+    return 0.5 * _half_norm_sq(state.grid, _half_spectrum(state.omega))
 
 
 def div_error(state: FlowState) -> float:
     """L2 norm of the discrete velocity divergence."""
-    return l2_norm(divergence(state.vel))
+    g = state.grid
+    div = (_half_spectrum(state.vel.x) * g._hd1x
+           + _half_spectrum(state.vel.y) * g._hd1y)
+    return float(np.sqrt(_half_norm_sq(g, div)))
 
 
 def _padded_history(history):
@@ -312,6 +312,41 @@ def _padded_history(history):
     while len(hist) < 3:
         hist.append(hist[-1])  # pre-start levels default to the oldest data
     return hist[:3]
+
+
+def _functionals(history, nu: float, dt: float, coeffs: TelescopeCoeffs):
+    """(F, G1) over the newest-first history, from half-spectrum powers.
+
+    With |.|_m the H^m seminorm (|.|_0 the L2 norm), F and G1 are
+
+        G(m) = a1^2 |w0|_m^2 + |a2 w0 + a3 w1|_m^2
+               + |a4 w0 + a5 w1 + a6 w2|_m^2 + r1 |w0 - w1|_m^2
+               + r2 |w1 - w2|_m^2 + nu dt sum_j e_j |w_j|_{m+1}^2
+
+    at m = 0, (r1, r2) = (7/8, 5/24), e = (7/4, 15/32, 13/64) and at
+    m = 1, (r1, r2) = (5/6, 1/6), e = (37/24, 17/48, 17/96). The power
+    spectra of the seven fields are formed once and weighted per mode.
+    """
+    a = coeffs.alpha
+    hist = _padded_history(history)
+    g = hist[0].grid
+    w0, w1, w2 = (_half_spectrum(f) for f in hist)
+    p0, p1, p2, c1, c2, d1, d2 = (
+        x.real**2 + x.imag**2
+        for x in (w0, w1, w2, a[1] * w0 + a[2] * w1,
+                  a[3] * w0 + a[4] * w1 + a[5] * w2, w0 - w1, w1 - w2))
+    ksq = g._hksq
+    base = a[0]**2 * p0 + c1 + c2
+    f_density = (base + 7.0 / 8.0 * d1 + 5.0 / 24.0 * d2
+                 + nu * dt * ksq * (7.0 / 4.0 * p0 + 15.0 / 32.0 * p1
+                                    + 13.0 / 64.0 * p2))
+    g1_density = ksq * (base + 5.0 / 6.0 * d1 + 1.0 / 6.0 * d2
+                        + nu * dt * ksq * (37.0 / 24.0 * p0
+                                           + 17.0 / 48.0 * p1
+                                           + 17.0 / 96.0 * p2))
+    scale = g.length**2
+    return (scale * float(f_density.sum(axis=0) @ g._hweight),
+            scale * float(g1_density.sum(axis=0) @ g._hweight))
 
 
 def stability_F(history, nu: float, dt: float,
@@ -324,17 +359,7 @@ def stability_F(history, nu: float, dt: float,
     """
     if coeffs is None:
         coeffs = get_telescope_coefficients()
-    a = coeffs.alpha
-    w0, w1, w2 = _padded_history(history)
-    val = (a[0]**2 * _l2sq_spec(w0)
-           + _l2sq_spec(a[1] * w0 + a[2] * w1)
-           + _l2sq_spec(a[3] * w0 + a[4] * w1 + a[5] * w2)
-           + nu * dt * (7.0 / 4.0 * _hmsq_spec(w0, 1)
-                        + 15.0 / 32.0 * _hmsq_spec(w1, 1)
-                        + 13.0 / 64.0 * _hmsq_spec(w2, 1))
-           + 7.0 / 8.0 * _l2sq_spec(w0 - w1)
-           + 5.0 / 24.0 * _l2sq_spec(w1 - w2))
-    return float(val)
+    return _functionals(history, nu, dt, coeffs)[0]
 
 
 def stability_G1(history, nu: float, dt: float,
@@ -342,17 +367,7 @@ def stability_G1(history, nu: float, dt: float,
     """Gradient-level companion of stability_F (H1 combos, Laplacian decay)."""
     if coeffs is None:
         coeffs = get_telescope_coefficients()
-    a = coeffs.alpha
-    w0, w1, w2 = _padded_history(history)
-    val = (a[0]**2 * _hmsq_spec(w0, 1)
-           + _hmsq_spec(a[1] * w0 + a[2] * w1, 1)
-           + _hmsq_spec(a[3] * w0 + a[4] * w1 + a[5] * w2, 1)
-           + nu * dt * (37.0 / 24.0 * _hmsq_spec(w0, 2)
-                        + 17.0 / 48.0 * _hmsq_spec(w1, 2)
-                        + 17.0 / 96.0 * _hmsq_spec(w2, 2))
-           + 5.0 / 6.0 * _hmsq_spec(w0 - w1, 1)
-           + 1.0 / 6.0 * _hmsq_spec(w1 - w2, 1))
-    return float(val)
+    return _functionals(history, nu, dt, coeffs)[1]
 
 
 @dataclass(frozen=True)
@@ -382,21 +397,25 @@ def make_record(state: FlowState, history=None, nu: float = 0.0,
     """Assemble the full diagnostics row for one flow state.
 
     history carries the vorticity levels (newest-first) for the stability
-    functionals; when omitted only the current vorticity is used.
+    functionals; when omitted only the current vorticity is used. Every
+    column but max_omega comes from the spectral views by Parseval, so the
+    flow states and history that run() hands out cost no transform.
     """
     if history is None:
         history = [state.omega]
     if coeffs is None:
         coeffs = get_telescope_coefficients()
     w = state.omega
+    ens = enstrophy(state)
+    F, G1 = _functionals(history, nu, dt, coeffs)
     return SeriesRecord(
         t=state.time,
-        l2_omega=l2_norm(w),
+        l2_omega=float(np.sqrt(2.0 * ens)),
         h1_omega=hm_norm(w, 1),
         energy=energy(state),
-        enstrophy=enstrophy(state),
+        enstrophy=ens,
         div_error=div_error(state),
         max_omega=float(np.max(np.abs(w.physical))),
-        F=stability_F(history, nu, dt, coeffs),
-        G1=stability_G1(history, nu, dt, coeffs),
+        F=F,
+        G1=G1,
     )

@@ -48,13 +48,11 @@ class FlowState:
         return self.omega.grid
 
 
-def _check_mean(field: ScalarField, what: str) -> float:
-    m = mean(field)
+def _check_mean(m: float, what: str):
     if abs(m) > MEAN_TOLERANCE:
         raise MeanViolationError(
             f"{what} must be mean-free: discrete mean is {m:.6e} "
             f"(tolerance {MEAN_TOLERANCE:.1e})")
-    return m
 
 
 def solve_poisson(omega: ScalarField) -> ScalarField:
@@ -64,7 +62,7 @@ def solve_poisson(omega: ScalarField) -> ScalarField:
     is set to zero (the normalization that makes the problem unique).
     Raises MeanViolationError when omega carries a mean beyond tolerance.
     """
-    _check_mean(omega, "poisson right-hand side")
+    _check_mean(mean(omega), "poisson right-hand side")
     g = omega.grid
     spec = omega.spectral * g._inv_ksq  # inv table is 0 at k = 0
     return ScalarField._adopt(g, spec=spec)
@@ -81,14 +79,33 @@ def make_state(omega: ScalarField, t: float) -> FlowState:
     A mean within MEAN_TOLERANCE is treated as roundoff drift and removed;
     a larger mean raises MeanViolationError.
     """
-    _check_mean(omega, "vorticity")
-    g = omega.grid
-    spec = np.array(omega.spectral)  # writable copy
-    spec[0, 0] = 0.0
-    w = ScalarField._adopt(g, spec=spec)
-    psi = ScalarField._adopt(g, spec=spec * g._inv_ksq)
-    vel = perp_gradient(psi)
-    return FlowState(omega=w, psi=psi, vel=vel, time=float(t))
+    spec = _project_mean(np.array(omega.spectral))  # writable copy
+    return _assemble_state(omega.grid, spec, t)
+
+
+def _project_mean(w_spec):
+    """Check a vorticity spectrum's mean and set it to zero in place."""
+    _check_mean(w_spec[0, 0].real, "vorticity")
+    w_spec[0, 0] = 0.0
+    return w_spec
+
+
+def _velocity_half(grid: Grid, w_h):
+    """Half spectra of the velocity (D_y psi, -D_x psi) induced by omega."""
+    psi = w_h * grid._hinv_ksq
+    return psi * grid._hd1y, -(psi * grid._hd1x)
+
+
+def _assemble_state(grid: Grid, w_spec, t: float, phys=(None, None, None)):
+    """FlowState from a mean-free full vorticity spectrum, optionally with
+    physical (omega, u, v) arrays already at hand."""
+    w, u, v = phys
+    psi = w_spec * grid._inv_ksq
+    vel = VectorField(ScalarField._adopt(grid, phys=u, spec=psi * grid._d1y),
+                      ScalarField._adopt(grid, phys=v, spec=-(psi * grid._d1x)))
+    return FlowState(omega=ScalarField._adopt(grid, phys=w, spec=w_spec),
+                     psi=ScalarField._adopt(grid, spec=psi), vel=vel,
+                     time=float(t))
 
 
 def poincare_ratio(field: ScalarField) -> float:

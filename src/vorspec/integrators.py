@@ -16,24 +16,34 @@ the single transport term of the vorticity equation.
 The startup ladder computes w^1 with one explicit-midpoint RK2 step on the
 fully explicit right-hand side and w^2 with one BDF2 step, after which the
 third-order recurrence runs; this preserves third-order global accuracy.
+
+run() holds each history level as the half spectra (rfft2 layout) of w and
+N, so a step costs the eight real transforms of one convection evaluation;
+the flow states it hands to observers and sinks reuse the physical arrays
+that evaluation formed.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
-from .convection import skew_convection
+from .convection import _skew_kernel
 from .diagnostics import (SeriesRecord, get_telescope_coefficients,
                           make_record)
 from .errors import BlowUpError, ConfigError, MeanViolationError, \
     StartupRequiredError
-from .fields import MEAN_TOLERANCE, FlowState, make_state
-from .spectral import Grid, ScalarField, l2_norm, mean
+from .fields import (MEAN_TOLERANCE, FlowState, _assemble_state,
+                     _project_mean, _velocity_half)
+from .spectral import (Grid, ScalarField, _full_spectrum, _half_norm_sq,
+                       _half_spectrum, _half_to_physical, mean)
 
 __all__ = [
     "SchemeId",
@@ -64,16 +74,28 @@ class SchemeId(Enum):
 
     @property
     def history_required(self) -> int:
-        return {SchemeId.IMEX_EULER: 1,
-                SchemeId.IMEX_BDF2: 2,
-                SchemeId.IMEX_BDF3: 3}[self]
+        return len(_WEIGHTS[self][1])
+
+
+# scheme -> (a, vorticity weights c_j, convection weights e_j), newest level
+# first: (a/dt - nu Lap) w' = sum_j (c_j/dt) w_j + sum_j e_j N_j + f'. The c_j
+# are applied as p/(q dt): rounding them otherwise biases every step alike,
+# a drift that shows on the finest rungs of the convergence ladder
+_WEIGHTS = {
+    SchemeId.IMEX_EULER: (Fraction(1), (Fraction(1),), (-0.5,)),
+    SchemeId.IMEX_BDF2: (Fraction(3, 2), (Fraction(2), Fraction(-1, 2)),
+                         (-1.0, 0.5)),
+    SchemeId.IMEX_BDF3: (Fraction(11, 6),
+                         (Fraction(3), Fraction(-3, 2), Fraction(1, 3)),
+                         (-1.5, 1.5, -0.5)),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Parameters of one simulation run.
 
-    t_final is interpreted as n_steps * dt with n_steps = round(t_final/dt);
+    t_final must be a whole number n_steps of steps dt, up to roundoff;
     series records are emitted every series_every steps (plus step 0 and the
     final step), snapshots every snapshot_every steps when positive.
     """
@@ -91,6 +113,10 @@ class RunConfig:
     def __post_init__(self):
         if self.n < 4:
             raise ConfigError(f"grid size must be at least 4, got {self.n}")
+        for name in ("dt", "nu", "t_final"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if not (self.dt > 0):
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not (self.nu > 0):
@@ -98,6 +124,11 @@ class RunConfig:
         if self.t_final < self.dt:
             raise ConfigError(
                 f"t_final = {self.t_final} is shorter than one step dt = {self.dt}")
+        if not math.isclose(self.n_steps * self.dt, self.t_final,
+                            rel_tol=1e-9):
+            raise ConfigError(
+                f"t_final = {self.t_final} is not a whole number of steps "
+                f"dt = {self.dt}")
         if self.series_every < 1:
             raise ConfigError("series_every must be a positive integer")
         if self.snapshot_every < 0:
@@ -146,6 +177,15 @@ class RunSummary:
     records: list = field(default_factory=list)
 
 
+def _helmholtz(rhs_spec, ksq, a: float, dt: float, nu: float):
+    """Per-mode division by a/dt + nu ksq on full or half spectra."""
+    m = rhs_spec[0, 0].real
+    if abs(m) > MEAN_TOLERANCE:
+        raise MeanViolationError(
+            f"helmholtz right-hand side has mean {m:.6e} beyond tolerance")
+    return rhs_spec / (a / dt + nu * ksq)
+
+
 def helmholtz_solve(rhs: ScalarField, a: float, dt: float,
                     nu: float) -> ScalarField:
     """Solve (a/dt - nu Lap_N) w = rhs by per-mode division.
@@ -156,148 +196,136 @@ def helmholtz_solve(rhs: ScalarField, a: float, dt: float,
     """
     if not (a > 0 and dt > 0):
         raise ValueError("helmholtz_solve needs a > 0 and dt > 0")
-    m = mean(rhs)
-    if abs(m) > MEAN_TOLERANCE:
-        raise MeanViolationError(
-            f"helmholtz right-hand side has mean {m:.6e} beyond tolerance")
     g = rhs.grid
-    denom = a / dt + nu * g._ksq
-    return ScalarField._adopt(g, spec=rhs.spectral / denom)
+    return ScalarField._adopt(g, spec=_helmholtz(rhs.spectral, g._ksq, a, dt,
+                                                 nu))
 
 
-def _forcing_spec(state_or_none, t: float, grid: Grid):
-    """Spectral coefficients of the forcing at time t, or None."""
-    if state_or_none is None:
+def _forcing_half(forcing, t: float, grid: Grid):
+    """Half spectrum of the forcing at time t, or None."""
+    if forcing is None:
         return None
-    f = state_or_none(t)
+    f = forcing(t)
     if f.grid != grid:
         raise ConfigError("forcing returned a field on the wrong grid")
     m = mean(f)
     if abs(m) > MEAN_TOLERANCE:
         raise MeanViolationError(
             f"forcing at t = {t} has mean {m:.6e}; it must be mean-free")
-    return f.spectral
+    return _half_spectrum(f)
 
 
-def _advance(state: SolverState, a: float, rhs_spec) -> tuple:
-    """Shared tail of every scheme: solve, rebuild kinematics, cache N."""
-    g = state.grid
-    t_new = (state.step_index + 1) * state.dt
-    rhs = ScalarField._adopt(g, spec=rhs_spec)
-    w_new = helmholtz_solve(rhs, a, state.dt, state.nu)
-    flow = make_state(w_new, t_new)
-    conv = skew_convection(flow.vel, flow.omega, dealias=state.dealias)
-    depth = min(len(state.history) + 1, 3)
-    new_history = (Level(flow.omega, conv),) + state.history[:depth - 1]
-    new_state = replace(state, history=new_history,
-                        step_index=state.step_index + 1)
-    return flow, new_state
+def _convect(grid: Grid, w_h, dealias: bool):
+    """Convection of a vorticity half spectrum by its own velocity.
+
+    Returns the half spectrum of N and the physical (omega, u, v) formed on
+    the way: eight real transforms in all.
+    """
+    u_h, v_h = _velocity_half(grid, w_h)
+    phys = tuple(_half_to_physical(grid, h) for h in (w_h, u_h, v_h))
+    return _skew_kernel(grid, w_h, u_h, v_h, *phys, dealias), phys
 
 
-def euler_step(state: SolverState) -> tuple:
-    """One first-order IMEX Euler step."""
-    if len(state.history) < 1:
-        raise StartupRequiredError("euler step needs one history level")
-    dt = state.dt
-    lvl = state.history[0]
-    rhs = lvl.omega.spectral / dt - 0.5 * lvl.conv.spectral
-    fsp = _forcing_spec(state.forcing, (state.step_index + 1) * dt, state.grid)
-    if fsp is not None:
-        rhs = rhs + fsp
-    return _advance(state, 1.0, rhs)
+def _implicit_omega(grid: Grid, levels, scheme: SchemeId, dt: float,
+                    nu: float, forcing, t: float):
+    """Vorticity half spectrum at time t by one step of an IMEX scheme.
+
+    levels are newest-first (omega, N) half-spectrum pairs; levels beyond
+    the scheme's depth are ignored.
+    """
+    a, w_weights, n_weights = _WEIGHTS[scheme]
+    f_h = _forcing_half(forcing, t, grid)
+    rhs = np.zeros_like(levels[0][0])
+    for c, (w, _) in zip(w_weights, levels):
+        rhs += c.numerator / (c.denominator * dt) * w
+    for c, (_, conv) in zip(n_weights, levels):
+        rhs += c * conv
+    if f_h is not None:
+        rhs += f_h
+    return _project_mean(_helmholtz(rhs, grid._hksq, float(a), dt, nu))
 
 
-def bdf2_step(state: SolverState) -> tuple:
-    """One second-order IMEX BDF step with extrapolated convection."""
-    if len(state.history) < 2:
-        raise StartupRequiredError("bdf2 step needs two history levels")
-    dt = state.dt
-    l0, l1 = state.history[0], state.history[1]
-    rhs = (2.0 / dt * l0.omega.spectral - 0.5 / dt * l1.omega.spectral
-           - l0.conv.spectral + 0.5 * l1.conv.spectral)
-    fsp = _forcing_spec(state.forcing, (state.step_index + 1) * dt, state.grid)
-    if fsp is not None:
-        rhs = rhs + fsp
-    return _advance(state, 1.5, rhs)
+def _explicit_rhs(grid: Grid, w_h, conv_h, nu: float, forcing, t: float):
+    """Fully explicit right-hand side -N/2 + nu Lap w + f on half spectra."""
+    rhs = -0.5 * conv_h + nu * (-grid._hksq * w_h)
+    f_h = _forcing_half(forcing, t, grid)
+    return rhs if f_h is None else rhs + f_h
 
 
-def bdf3_step(state: SolverState) -> tuple:
-    """One third-order IMEX BDF step with quadratic convection extrapolation."""
-    if len(state.history) < 3:
-        raise StartupRequiredError("bdf3 step needs three history levels")
-    dt = state.dt
-    l0, l1, l2 = state.history[0], state.history[1], state.history[2]
-    rhs = (3.0 / dt * l0.omega.spectral
-           - 1.5 / dt * l1.omega.spectral
-           + 1.0 / (3.0 * dt) * l2.omega.spectral
-           - 1.5 * l0.conv.spectral
-           + 1.5 * l1.conv.spectral
-           - 0.5 * l2.conv.spectral)
-    fsp = _forcing_spec(state.forcing, (state.step_index + 1) * dt, state.grid)
-    if fsp is not None:
-        rhs = rhs + fsp
-    return _advance(state, 11.0 / 6.0, rhs)
+def _midpoint_omega(grid: Grid, level, cfg: RunConfig, forcing):
+    """Vorticity half spectrum of step 1 by one explicit-midpoint step."""
+    w0, conv0 = level
+    dt, nu = cfg.dt, cfg.nu
+    k1 = _explicit_rhs(grid, w0, conv0, nu, forcing, 0.0)
+    w_mid = _project_mean(w0 + 0.5 * dt * k1)
+    conv_mid, _ = _convect(grid, w_mid, cfg.dealias)
+    k2 = _explicit_rhs(grid, w_mid, conv_mid, nu, forcing, 0.5 * dt)
+    return _project_mean(w0 + dt * k2)
 
 
-_STEP_FN = {SchemeId.IMEX_EULER: euler_step,
-            SchemeId.IMEX_BDF2: bdf2_step,
-            SchemeId.IMEX_BDF3: bdf3_step}
+def _march(omega0: ScalarField, cfg: RunConfig, forcing):
+    """Yield (k, levels, phys) for the steps k = 0, 1, 2, ... without end.
 
-
-def _explicit_rhs_spec(flow: FlowState, conv: ScalarField, nu: float,
-                       forcing, t: float):
-    """Fully explicit right-hand side -N/2 + nu Lap w + f in spectral form."""
-    g = flow.grid
-    rhs = -0.5 * conv.spectral + nu * (g._lap * flow.omega.spectral)
-    fsp = _forcing_spec(forcing, t, g)
-    if fsp is not None:
-        rhs = rhs + fsp
-    return rhs
-
-
-def _startup_states(omega0: ScalarField, cfg: RunConfig, forcing):
-    """Initial flow states and the solver state ready for the main scheme.
-
-    Returns (states, solver_state) where states holds the flow states of
-    steps 0 .. history_required - 1 in time order.
+    levels holds up to three newest-first (omega, N) half-spectrum pairs
+    ending at step k; phys holds the physical (omega, u, v) of step k, as
+    formed by the convection kernel. A multistep scheme takes step 1 by
+    the explicit midpoint rule and, for three levels, step 2 by the
+    two-level scheme.
     """
     grid = omega0.grid
     if grid.n != cfg.n or grid.length != cfg.length:
         raise ConfigError(
             f"initial data on {grid} does not match config (n={cfg.n}, "
             f"length={cfg.length})")
-    dt, nu = cfg.dt, cfg.nu
     need = cfg.scheme.history_required
+    w_h = _project_mean(np.array(_half_spectrum(omega0)))
+    levels = ()
+    for k in itertools.count():
+        if k == 1 and need > 1:
+            w_h = _midpoint_omega(grid, levels[0], cfg, forcing)
+        elif k > 0:
+            scheme = cfg.scheme if len(levels) >= need else SchemeId.IMEX_BDF2
+            w_h = _implicit_omega(grid, levels, scheme, cfg.dt, cfg.nu,
+                                  forcing, k * cfg.dt)
+        conv_h, phys = _convect(grid, w_h, cfg.dealias)
+        levels = ((w_h, conv_h),) + levels[:2]
+        yield k, levels, phys
 
-    flow0 = make_state(omega0, 0.0)
-    conv0 = skew_convection(flow0.vel, flow0.omega, dealias=cfg.dealias)
-    state = SolverState(grid=grid, history=(Level(flow0.omega, conv0),),
-                        step_index=0, dt=dt, nu=nu, forcing=forcing,
-                        dealias=cfg.dealias)
-    states = [flow0]
-    if need == 1:
-        return states, state
 
-    # w^1 by one explicit-midpoint step on the fully explicit right side
-    k1 = _explicit_rhs_spec(flow0, conv0, nu, forcing, 0.0)
-    w_half = ScalarField._adopt(grid, spec=flow0.omega.spectral + 0.5 * dt * k1)
-    flow_half = make_state(w_half, 0.5 * dt)
-    conv_half = skew_convection(flow_half.vel, flow_half.omega,
-                                dealias=cfg.dealias)
-    k2 = _explicit_rhs_spec(flow_half, conv_half, nu, forcing, 0.5 * dt)
-    w1 = ScalarField._adopt(grid, spec=flow0.omega.spectral + dt * k2)
-    flow1 = make_state(w1, dt)
-    conv1 = skew_convection(flow1.vel, flow1.omega, dealias=cfg.dealias)
-    state = replace(state, history=(Level(flow1.omega, conv1),) + state.history,
-                    step_index=1)
-    states.append(flow1)
-    if need == 2:
-        return states, state
+def _step(state: SolverState, scheme: SchemeId) -> tuple:
+    """One step of scheme on a public SolverState."""
+    need = scheme.history_required
+    if len(state.history) < need:
+        raise StartupRequiredError(
+            f"{scheme.value} step needs {need} history level(s), got "
+            f"{len(state.history)}")
+    g, dt = state.grid, state.dt
+    k = state.step_index + 1
+    levels = [(_half_spectrum(lvl.omega), _half_spectrum(lvl.conv))
+              for lvl in state.history]
+    w_h = _implicit_omega(g, levels, scheme, dt, state.nu, state.forcing,
+                          k * dt)
+    conv_h, phys = _convect(g, w_h, state.dealias)
+    flow = _assemble_state(g, _full_spectrum(g, w_h), k * dt, phys)
+    level = Level(flow.omega,
+                  ScalarField._adopt(g, spec=_full_spectrum(g, conv_h)))
+    return flow, replace(state, history=(level,) + state.history[:2],
+                         step_index=k)
 
-    # w^2 by one BDF2 step
-    flow2, state = bdf2_step(state)
-    states.append(flow2)
-    return states, state
+
+def euler_step(state: SolverState) -> tuple:
+    """One first-order IMEX Euler step."""
+    return _step(state, SchemeId.IMEX_EULER)
+
+
+def bdf2_step(state: SolverState) -> tuple:
+    """One second-order IMEX BDF step with extrapolated convection."""
+    return _step(state, SchemeId.IMEX_BDF2)
+
+
+def bdf3_step(state: SolverState) -> tuple:
+    """One third-order IMEX BDF step with quadratic convection extrapolation."""
+    return _step(state, SchemeId.IMEX_BDF3)
 
 
 def startup(omega0: ScalarField, cfg: RunConfig,
@@ -307,12 +335,18 @@ def startup(omega0: ScalarField, cfg: RunConfig,
     For the third-order scheme this takes the RK2 and BDF2 ladder steps and
     returns a three-level state positioned at step 2.
     """
-    _, state = _startup_states(omega0, cfg, forcing)
-    return state
+    need = cfg.scheme.history_required
+    for k, levels, _ in _march(omega0, cfg, forcing):
+        if k == need - 1:
+            break
+    g = omega0.grid
+    history = tuple(Level(*(ScalarField._adopt(g, spec=_full_spectrum(g, h))
+                            for h in level)) for level in levels)
+    return SolverState(grid=g, history=history, step_index=k, dt=cfg.dt,
+                       nu=cfg.nu, forcing=forcing, dealias=cfg.dealias)
 
 
-def _check_blowup(flow: FlowState, w_l2: float, ref_l2: float, step: int,
-                  last_record):
+def _check_blowup(w_l2: float, ref_l2: float, step: int, last_record):
     if not np.isfinite(w_l2) or (ref_l2 > 0 and w_l2 > BLOWUP_FACTOR * ref_l2):
         raise BlowUpError(
             f"solution blew up at step {step}: ||w||_2 = {w_l2:.6e} "
@@ -349,54 +383,34 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
             f"{cfg.scheme.value} startup needs {need - 1} steps but the run "
             f"has only {n_steps}")
     coeffs = get_telescope_coefficients()
-    step_fn = _STEP_FN[cfg.scheme]
+    grid = omega0.grid
 
     records = []
     last_record = None
-
-    def emit(flow, hist):
-        nonlocal last_record
-        rec = make_record(flow, history=hist, nu=cfg.nu, dt=cfg.dt,
-                          coeffs=coeffs)
-        records.append(rec)
-        last_record = rec
-        if series_sink is not None:
-            series_sink(rec)
-
+    omegas = ()  # newest-first vorticity fields of the stored levels
     t0 = time.perf_counter()
-    init_states, state = _startup_states(omega0, cfg, forcing)
-    ref_l2 = l2_norm(init_states[0].omega)
-
-    flow = init_states[0]
-    depth = len(state.history)
-    for k, fl in enumerate(init_states):
-        flow = fl
-        w_l2 = l2_norm(fl.omega)
-        _check_blowup(fl, w_l2, ref_l2, k, last_record)
-        if observer is not None:
-            observer(k, fl)
-        if k % cfg.series_every == 0 or k == n_steps:
-            # the stored state is already past these steps; take the history
-            # suffix that existed at step k (levels k, k-1, ..., 0)
-            emit(fl, [lvl.omega for lvl in state.history[depth - 1 - k:]])
-        if cfg.snapshot_every > 0 and k % cfg.snapshot_every == 0 \
-                and snapshot_sink is not None:
-            snapshot_sink(k, fl)
-        if k == n_steps:
-            break
-
-    while state.step_index < n_steps:
-        flow, state = step_fn(state)
-        k = state.step_index
-        w_l2 = l2_norm(flow.omega)
-        _check_blowup(flow, w_l2, ref_l2, k, last_record)
+    for k, levels, phys in _march(omega0, cfg, forcing):
+        w_h = levels[0][0]
+        w_l2 = float(np.sqrt(_half_norm_sq(grid, w_h)))
+        if k == 0:
+            ref_l2 = w_l2
+        _check_blowup(w_l2, ref_l2, k, last_record)
+        flow = _assemble_state(grid, _full_spectrum(grid, w_h), k * cfg.dt,
+                               phys)
+        omegas = (flow.omega,) + omegas[:2]
         if observer is not None:
             observer(k, flow)
         if k % cfg.series_every == 0 or k == n_steps:
-            emit(flow, [lvl.omega for lvl in state.history])
+            last_record = make_record(flow, history=omegas, nu=cfg.nu,
+                                      dt=cfg.dt, coeffs=coeffs)
+            records.append(last_record)
+            if series_sink is not None:
+                series_sink(last_record)
         if cfg.snapshot_every > 0 and k % cfg.snapshot_every == 0 \
                 and snapshot_sink is not None:
             snapshot_sink(k, flow)
+        if k == n_steps:
+            break
 
     elapsed = time.perf_counter() - t0
     extrema = {}

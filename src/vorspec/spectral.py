@@ -16,6 +16,12 @@ fields real and first derivatives skew-adjoint. Second-order multipliers
 keep the full -4 pi^2 k^2 / L^2 symbol at Nyquist. Consequently
 divergence(gradient(f)) equals laplacian(f) exactly only on fields without
 Nyquist content; on odd grids the identity is unconditional.
+
+The time loop works on half spectra in rfft2 layout, shape (N, N//2 + 1):
+the retained columns are l = 0 .. N//2 and the rest follow from Hermitian
+symmetry, fhat[-k, -l] = conj(fhat[k, l]). The half tables are the first
+N//2 + 1 columns of the full ones; at even N column N//2 is the Nyquist
+column, whose first-derivative symbol is zeroed like the Nyquist row.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ __all__ = [
     "inner_product",
     "l2_norm",
     "mean",
-    "imag_residue",
 ]
 
 
@@ -55,7 +60,8 @@ class Grid:
 
     __slots__ = ("n", "length", "spacing", "wavenumbers",
                  "_d1x", "_d1y", "_lap", "_ksq", "_inv_ksq",
-                 "_nodes", "_dealias_mask")
+                 "_hd1x", "_hd1y", "_hksq", "_hinv_ksq", "_hweight",
+                 "_neg_rows", "_nodes", "_dealias_mask")
 
     def __init__(self, n: int, length: float = 1.0):
         if not isinstance(n, (int, np.integer)) or n < 1:
@@ -86,7 +92,20 @@ class Grid:
         with np.errstate(divide="ignore"):
             inv = np.where(self._ksq > 0.0, 1.0 / self._ksq, 0.0)
         self._inv_ksq = inv
-        for arr in (self._d1x, self._d1y, self._ksq, self._lap, self._inv_ksq):
+        m = self.n // 2 + 1
+        self._hd1x, self._hd1y, self._hksq, self._hinv_ksq = (
+            np.ascontiguousarray(t[:, :m])
+            for t in (self._d1x, self._d1y, self._ksq, self._inv_ksq))
+        # Parseval weights of the half-spectrum columns: every column but
+        # l = 0 and the even-N Nyquist column also stands for its conjugate
+        self._hweight = np.full(m, 2.0)
+        self._hweight[0] = 1.0
+        if self.n % 2 == 0:
+            self._hweight[-1] = 1.0
+        self._neg_rows = -np.arange(self.n) % self.n  # row index of -k
+        for arr in (self._d1x, self._d1y, self._ksq, self._lap, self._inv_ksq,
+                    self._hd1x, self._hd1y, self._hksq, self._hinv_ksq,
+                    self._hweight, self._neg_rows):
             arr.setflags(write=False)
         self._nodes = None
         self._dealias_mask = None
@@ -208,13 +227,6 @@ class ScalarField:
             self._spec = s
         return self._spec
 
-    @property
-    def validity(self):
-        """Which views are fresh: physical-fresh, spectral-fresh, both-fresh."""
-        if self._phys is not None and self._spec is not None:
-            return "both-fresh"
-        return "physical-fresh" if self._phys is not None else "spectral-fresh"
-
     # value-like arithmetic; combines whichever views both operands have fresh
     def __add__(self, other):
         return self._combine(other, 1.0)
@@ -254,7 +266,7 @@ class ScalarField:
         return self * -1.0
 
     def __repr__(self):
-        return f"ScalarField(grid={self.grid}, validity={self.validity})"
+        return f"ScalarField(grid={self.grid})"
 
 
 class VectorField:
@@ -359,11 +371,44 @@ def mean(f: ScalarField) -> float:
     return float(np.mean(f._phys))
 
 
-def imag_residue(spec, grid: Grid) -> float:
-    """Largest imaginary part left after inverting a spectral array.
+def _half_spectrum(field: ScalarField):
+    """Half spectrum (rfft2 layout) of a real field.
 
-    Diagnostic used by the test suite to confirm operation outputs are
-    real-valued before the imaginary part is discarded.
+    A view of the full spectrum when that is fresh, else one real transform
+    of the physical view.
     """
-    n2 = grid.n * grid.n
-    return float(np.max(np.abs(np.fft.ifft2(np.asarray(spec)).imag))) * n2
+    if field._spec is not None:
+        return field._spec[:, :field.grid.n // 2 + 1]
+    return np.fft.rfft2(field._phys, norm="forward")
+
+
+def _half_to_physical(grid: Grid, half):
+    """Real node values from a half spectrum: one inverse real transform,
+    which keeps only the Hermitian part of the implied full spectrum."""
+    return np.fft.irfft2(half, s=(grid.n, grid.n), norm="forward")
+
+
+def _full_spectrum(grid: Grid, half):
+    """Full (n, n) spectrum of a real field from its half spectrum.
+
+    Fills the dropped columns l = N//2 + 1 .. N - 1 (that is, l < 0) by
+    Hermitian symmetry; no transform is needed.
+    """
+    n = grid.n
+    m = half.shape[1]
+    full = np.empty((n, n), dtype=np.complex128)
+    full[:, :m] = half
+    np.conjugate(half[grid._neg_rows, n - m:0:-1], out=full[:, m:])
+    return full
+
+
+def _half_norm_sq(grid: Grid, half, m: int = 0) -> float:
+    """Squared discrete H^m seminorm (L2 for m = 0) from a half spectrum.
+
+    Parseval with the full second-order symbol to the power m, counting
+    each retained column with its Hermitian partner.
+    """
+    power = half.real**2 + half.imag**2
+    if m:
+        power *= grid._hksq**m
+    return grid.length**2 * float(power.sum(axis=0) @ grid._hweight)

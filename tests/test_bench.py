@@ -118,6 +118,21 @@ def test_convergence_study_propagates_blowup():
     assert omega[2].order_linf is not None
 
 
+def test_convergence_study_marks_polluted_rows():
+    # dt = 0.005 lies past the advective stability limit at N = 64 and
+    # completes as noise; the rows after it are clean
+    rows = convergence_study(64, 1e-3, 1.0, dts=(0.005, 0.0025, 0.00125))
+    for var in ("omega", "psi", "u"):
+        coarse, mid, fine = [r for r in rows if r.variable == var]
+        assert (coarse.status, mid.status, fine.status) == \
+            ("polluted", "ok", "ok")
+        assert not coarse.blown_up and np.isfinite(coarse.err_linf_l2)
+        assert mid.order_linf is None and mid.order_l2_h1 is None
+        assert 2.7 <= fine.order_linf <= 3.3
+        assert 2.7 <= fine.order_l2_h1 <= 3.3
+    assert convergence_csv(rows).split("\n")[1].endswith(",polluted")
+
+
 def test_convergence_study_needs_three_levels():
     with pytest.raises(ConfigError):
         convergence_study(32, 1e-3, 0.1, dts=(0.01, 0.005))

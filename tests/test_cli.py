@@ -172,3 +172,25 @@ def test_check_subcommand(capsys):
     assert lines, "check printed nothing"
     assert all(line.startswith("PASS") for line in lines)
     assert "all checks passed" in err
+
+
+@pytest.mark.parametrize("argv, words", [
+    (("--t-final", "nan"), "finite"),
+    (("--t-final", "inf"), "finite"),
+    (("--t-final", "1", "--dt", "0.3"), "whole number of steps"),
+])
+def test_bad_run_values_rejected_in_one_line(capsys, argv, words):
+    code, _, err = run_cli(capsys, "tg-longrun", "--n", "16", *argv)
+    assert code == 2
+    assert err.count("\n") == 1 and words in err
+
+
+def test_uncreatable_snapshot_dir_rejected_in_one_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    code, _, err = run_cli(
+        capsys, "tg-longrun", "--n", "16", "--dt", "0.01", "--t-final",
+        "0.05", "--snapshot-every", "1", "--snapshot-dir",
+        str(blocker / "snaps"))
+    assert code == 2
+    assert err.count("\n") == 1 and str(blocker) in err

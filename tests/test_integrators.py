@@ -6,6 +6,8 @@ manufactured solution with genuinely active convection checks the global
 order of the startup chain plus the third-order steps.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,22 @@ def test_runconfig_rejects_bad_values():
         RunConfig(n=16, dt=0.01, nu=0.0, t_final=1.0)
     with pytest.raises(ConfigError):
         RunConfig(n=16, dt=0.5, nu=1.0, t_final=0.1)
+
+
+@pytest.mark.parametrize("name", ["dt", "nu", "t_final"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_runconfig_rejects_non_finite_values(name, value):
+    kw = dict(n=16, dt=0.01, nu=1.0, t_final=1.0)
+    kw[name] = value
+    with pytest.raises(ConfigError, match="finite"):
+        RunConfig(**kw)
+
+
+def test_runconfig_rejects_partial_last_step():
+    with pytest.raises(ConfigError, match="whole number"):
+        RunConfig(n=16, dt=0.3, nu=1.0, t_final=1.0)
+    # 0.3 / 0.1 is 2.9999999999999996 in doubles: a multiple up to roundoff
+    assert RunConfig(n=16, dt=0.1, nu=1.0, t_final=0.3).n_steps == 3
 
 
 def test_scheme_history_depths():
@@ -147,6 +165,28 @@ def test_startup_produces_three_levels():
     # history is newest-first
     for lvl, y in zip(state.history, reversed(ys)):
         assert l2_norm(lvl.omega) / (2 * np.pi) == pytest.approx(y, rel=1e-12)
+
+
+@pytest.mark.parametrize("scheme, step", [
+    (SchemeId.IMEX_EULER, v.euler_step),
+    (SchemeId.IMEX_BDF2, v.bdf2_step),
+    (SchemeId.IMEX_BDF3, v.bdf3_step),
+])
+def test_public_steps_reproduce_run(noise, scheme, step):
+    # a random vorticity, so that convection is active
+    omega0 = noise(Grid(16))
+    cfg = RunConfig(n=16, dt=0.01, nu=NU, t_final=0.06, scheme=scheme)
+    seen = []
+    run(omega0, cfg, observer=lambda k, fl: seen.append(fl.omega.spectral))
+    state = startup(omega0, cfg)
+    assert len(state.history) == scheme.history_required
+    while state.step_index < cfg.n_steps:
+        flow, state = step(state)
+        np.testing.assert_array_equal(flow.omega.spectral,
+                                      seen[state.step_index])
+    short = state.history[:scheme.history_required - 1]
+    with pytest.raises(v.StartupRequiredError):
+        step(dataclasses.replace(state, history=short))
 
 
 # --- global order with active convection -------------------------------------
@@ -242,3 +282,36 @@ def test_forcing_balances_decay():
     summary = run(omega0, cfg, forcing=lambda t: -0.1 * laplacian(omega0))
     final = summary.final_state.omega
     np.testing.assert_allclose(final.physical, omega0.physical, atol=1e-9)
+
+
+# --- transform budget ----------------------------------------------------------
+
+
+FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+             "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+
+
+def test_run_step_costs_eight_real_transforms(monkeypatch):
+    """A main-loop BDF3 step makes 5 inverse and 3 forward real transforms
+    and no complex one; a diagnostics record makes none."""
+    omega0 = tg_omega0()
+    counts = {}
+    for name in FFT_NAMES:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kw):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(np.fft, name, counted)
+
+    per_step = []
+
+    def observe(k, flow):
+        per_step.append(dict(counts))
+        counts.clear()
+
+    # a record every second step: from step 3 on, every interval between
+    # observer calls holds one step and, on odd steps, the previous record
+    run(omega0, tg_config(dt=0.01, t_final=0.1, series_every=2),
+        observer=observe)
+    for k in range(3, 11):
+        assert per_step[k] == {"irfft2": 5, "rfft2": 3}, k
+    assert counts == {}  # the record of the final step

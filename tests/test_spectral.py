@@ -120,6 +120,29 @@ def test_nyquist_mode_first_derivative_is_zeroed():
     assert l2_norm(derivative(f, "x", order=2)) > 1.0
 
 
+def test_half_spectrum_tables_zero_nyquist_on_both_axes():
+    g = Grid(8)
+    assert g._hd1x.shape == g._hd1y.shape == (8, 5)
+    assert np.all(g._hd1x[4, :] == 0.0)  # Nyquist row of the full axis
+    assert np.all(g._hd1y[:, 4] == 0.0)  # Nyquist column of the halved axis
+    np.testing.assert_array_equal(g._hd1y[:, :4], g._d1y[:, :4])
+    np.testing.assert_array_equal(g._hksq, g._ksq[:, :5])
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_half_spectrum_round_trip_and_parseval(noise, n):
+    from vorspec.spectral import (_full_spectrum, _half_norm_sq,
+                                  _half_spectrum)
+
+    g = Grid(n)
+    f = noise(g, nyquist_free=False)
+    full = np.fft.fft2(f.physical) / (n * n)
+    half = _half_spectrum(f)  # a real transform of the physical view
+    np.testing.assert_allclose(half, full[:, :n // 2 + 1], atol=1e-14)
+    np.testing.assert_allclose(_full_spectrum(g, half), full, atol=1e-14)
+    assert _half_norm_sq(g, half) == pytest.approx(l2_norm(f)**2, rel=1e-13)
+
+
 def test_laplacian_matches_div_grad_on_nyquist_free_fields(noise):
     g = Grid(16)
     f = noise(g)  # nyquist-free by default
