@@ -121,9 +121,9 @@ def shear_layer_init(grid: Grid, spec: ShearLayerSpec) -> ScalarField:
     v = spec.delta * np.sin(2.0 * np.pi * X)
     w = derivative(ScalarField.from_physical(grid, v), "x", 1) \
         - derivative(ScalarField.from_physical(grid, u), "y", 1)
-    spec_arr = np.array(w.spectral)
-    spec_arr[0, 0] = 0.0
-    return ScalarField._adopt(grid, spec=spec_arr)
+    w_h = np.array(_half_spectrum(w))
+    w_h[0, 0] = 0.0
+    return ScalarField._adopt(grid, half=w_h)
 
 
 @dataclass(frozen=True)
@@ -253,10 +253,11 @@ def convergence_study(n: int, nu: float, t_final: float,
 
 def _tail_fraction(omega: ScalarField) -> float:
     """Share of the enstrophy of omega in the band the 2/3 rule cuts."""
-    power = np.square(np.abs(omega.spectral))
-    total = float(np.sum(power))
-    return float(np.sum(power[~omega.grid.dealias_mask])) / total \
-        if total > 0 else 0.0
+    g = omega.grid
+    w_h = _half_spectrum(omega)
+    total = _half_norm_sq(g, w_h)
+    tail = _half_norm_sq(g, w_h * ~g.dealias_mask[:, :g.n // 2 + 1])
+    return tail / total if total > 0 else 0.0
 
 
 def convergence_csv(rows) -> str:

@@ -51,9 +51,8 @@ def _noise(grid: Grid, rng, zero_mean=True, nyquist_free=False) -> ScalarField:
     if nyquist_free and n % 2 == 0:
         spec[n // 2, :] = 0.0
         spec[:, n // 2] = 0.0
-    # make it real-valued by symmetrizing through a physical round trip
-    f = ScalarField._adopt(grid, spec=spec)
-    return ScalarField.from_physical(grid, f.physical)
+    # real-valued: the constructor keeps the Hermitian part
+    return ScalarField.from_spectral(grid, spec)
 
 
 def _check_sbp_first_derivative() -> CheckResult:

@@ -90,6 +90,9 @@ _TELESCOPE_OPTS = (
     ("trials", int, 1000),
 )
 
+# options that count grid points, search starts or trials
+_COUNTS = ("n", "starts", "trials")
+
 
 def _add_options(sub: argparse.ArgumentParser, table):
     sub.add_argument("--config", metavar="FILE", default=None,
@@ -203,6 +206,8 @@ def _resolve(args: argparse.Namespace, table) -> argparse.Namespace:
             value = _coerce(raw, tag, name)
         if value is None:
             value = default
+        if name in _COUNTS and value is not None and value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
         out[name] = value
     if config:
         unknown = ", ".join(sorted(config))
@@ -254,15 +259,12 @@ def _run_with_series(omega0, cfg, opts, prefix: str) -> int:
 
 def _cmd_tg_convergence(opts) -> int:
     dts = [opts.dt0 * 2.0**-i for i in range(opts.levels)]
-    rows = convergence_study(opts.n, opts.nu, opts.t_final, dts,
-                             scheme=_SCHEMES[opts.scheme],
-                             dealias=opts.dealias)
-    text = convergence_csv(rows)
-    if opts.output in ("", "-"):
-        sys.stdout.write(text)
-    else:
-        with open(opts.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    # open the output first, so an unwritable path fails before the study
+    with _series_stream(opts.output) as stream:
+        rows = convergence_study(opts.n, opts.nu, opts.t_final, dts,
+                                 scheme=_SCHEMES[opts.scheme],
+                                 dealias=opts.dealias)
+        stream.write(convergence_csv(rows))
     return 0
 
 

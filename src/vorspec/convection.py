@@ -13,10 +13,10 @@ omega: summation by parts turns <omega, div_N(u omega)> into
 This orthogonality is what controls aliasing in the analyzed scheme; no
 dealiasing is applied by default.
 
-In the time loop one evaluation costs eight real transforms on half
-spectra (rfft2 layout): five inverse (omega, u, v, D_x omega, D_y omega)
-and three forward (the advective product and the two fluxes). The loop
-forms the physical omega, u and v itself and reuses them downstream.
+One evaluation costs eight real transforms on half spectra (rfft2
+layout): five inverse (omega, u, v, D_x omega, D_y omega) and three forward
+(the advective product and the two fluxes). The physical omega, u and v
+stay cached on their fields, where the time loop's records reuse them.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotDivergenceFreeError
-from .spectral import (ScalarField, VectorField, _full_spectrum,
-                       _half_norm_sq, _half_spectrum, _half_to_physical)
+from .spectral import (ScalarField, VectorField, _half_norm_sq,
+                       _half_spectrum, _half_to_physical)
 
 __all__ = ["DIV_FREE_TOLERANCE", "skew_convection"]
 
@@ -34,30 +34,32 @@ __all__ = ["DIV_FREE_TOLERANCE", "skew_convection"]
 DIV_FREE_TOLERANCE = 1e-8
 
 
-def _skew_kernel(grid, w_h, u_h, v_h, w, u, v, dealias: bool):
+def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool):
     """Half spectrum (rfft2 layout) of N(u, omega).
 
-    Takes omega, u and v both as half spectra and as physical arrays,
-    checks the divergence precondition by Parseval on the half spectra,
-    and spends two inverse and three forward real transforms.
+    Checks the divergence precondition by Parseval on the half spectra
+    before any transform, then reads the fields' physical views.
     """
+    grid = omega.grid
+    w_h, u_h, v_h = (_half_spectrum(f) for f in (omega, vel.x, vel.y))
     w_l2 = np.sqrt(_half_norm_sq(grid, w_h))
-    d = np.sqrt(_half_norm_sq(grid, u_h * grid._hd1x + v_h * grid._hd1y))
+    d = np.sqrt(_half_norm_sq(grid, u_h * grid._d1x + v_h * grid._d1y))
     if d > DIV_FREE_TOLERANCE * w_l2:
         raise NotDivergenceFreeError(
             f"velocity is not discretely divergence-free: ||div u||_2 = "
             f"{d:.6e} exceeds {DIV_FREE_TOLERANCE:.1e} * ||omega||_2 = "
             f"{DIV_FREE_TOLERANCE * w_l2:.6e}")
+    w, u, v = omega.physical, vel.x.physical, vel.y.physical
 
     def forward(p):
         return np.fft.rfft2(p, norm="forward")
 
     # advective half: products pointwise, derivatives spectral
-    adv = forward(u * _half_to_physical(grid, w_h * grid._hd1x)
-                  + v * _half_to_physical(grid, w_h * grid._hd1y))
+    adv = forward(u * _half_to_physical(grid, w_h * grid._d1x)
+                  + v * _half_to_physical(grid, w_h * grid._d1y))
     adv[0, 0] = 0.0  # mean correction applies to the advective half only
     # flux half: transform the pointwise fluxes, differentiate spectrally
-    result = adv + forward(u * w) * grid._hd1x + forward(v * w) * grid._hd1y
+    result = adv + forward(u * w) * grid._d1x + forward(v * w) * grid._d1y
     if dealias:
         result *= grid.dealias_mask[:, :grid.n // 2 + 1]
     return result
@@ -89,8 +91,5 @@ def skew_convection(vel: VectorField, omega: ScalarField,
     NotDivergenceFreeError
         If the velocity fails the precondition check.
     """
-    g = omega.grid
-    conv = _skew_kernel(g, _half_spectrum(omega), _half_spectrum(vel.x),
-                        _half_spectrum(vel.y), omega.physical,
-                        vel.x.physical, vel.y.physical, dealias)
-    return ScalarField._adopt(g, spec=_full_spectrum(g, conv))
+    return ScalarField._adopt(omega.grid, half=_skew_kernel(vel, omega,
+                                                            dealias))

@@ -300,8 +300,8 @@ def enstrophy(state: FlowState) -> float:
 def div_error(state: FlowState) -> float:
     """L2 norm of the discrete velocity divergence."""
     g = state.grid
-    div = (_half_spectrum(state.vel.x) * g._hd1x
-           + _half_spectrum(state.vel.y) * g._hd1y)
+    div = (_half_spectrum(state.vel.x) * g._d1x
+           + _half_spectrum(state.vel.y) * g._d1y)
     return float(np.sqrt(_half_norm_sq(g, div)))
 
 
@@ -335,7 +335,7 @@ def _functionals(history, nu: float, dt: float, coeffs: TelescopeCoeffs):
         x.real**2 + x.imag**2
         for x in (w0, w1, w2, a[1] * w0 + a[2] * w1,
                   a[3] * w0 + a[4] * w1 + a[5] * w2, w0 - w1, w1 - w2))
-    ksq = g._hksq
+    ksq = g._ksq
     base = a[0]**2 * p0 + c1 + c2
     f_density = (base + 7.0 / 8.0 * d1 + 5.0 / 24.0 * d2
                  + nu * dt * ksq * (7.0 / 4.0 * p0 + 15.0 / 32.0 * p1
@@ -345,8 +345,8 @@ def _functionals(history, nu: float, dt: float, coeffs: TelescopeCoeffs):
                                            + 17.0 / 48.0 * p1
                                            + 17.0 / 96.0 * p2))
     scale = g.length**2
-    return (scale * float(f_density.sum(axis=0) @ g._hweight),
-            scale * float(g1_density.sum(axis=0) @ g._hweight))
+    return (scale * float(f_density.sum(axis=0) @ g._weight),
+            scale * float(g1_density.sum(axis=0) @ g._weight))
 
 
 def stability_F(history, nu: float, dt: float,

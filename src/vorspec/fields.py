@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeanViolationError
-from .spectral import (Grid, ScalarField, VectorField, divergence, l2_norm,
-                       mean, perp_gradient)
+from .spectral import (Grid, ScalarField, VectorField, _half_spectrum,
+                       divergence, l2_norm, mean, perp_gradient)
 
 __all__ = [
     "MEAN_TOLERANCE",
@@ -64,8 +64,8 @@ def solve_poisson(omega: ScalarField) -> ScalarField:
     """
     _check_mean(mean(omega), "poisson right-hand side")
     g = omega.grid
-    spec = omega.spectral * g._inv_ksq  # inv table is 0 at k = 0
-    return ScalarField._adopt(g, spec=spec)
+    # the inverse table is 0 at k = 0
+    return ScalarField._adopt(g, half=_half_spectrum(omega) * g._inv_ksq)
 
 
 def velocity_from_stream(psi: ScalarField) -> VectorField:
@@ -79,33 +79,22 @@ def make_state(omega: ScalarField, t: float) -> FlowState:
     A mean within MEAN_TOLERANCE is treated as roundoff drift and removed;
     a larger mean raises MeanViolationError.
     """
-    spec = _project_mean(np.array(omega.spectral))  # writable copy
-    return _assemble_state(omega.grid, spec, t)
+    w_h = _project_mean(np.array(_half_spectrum(omega)))  # writable copy
+    return _assemble_state(omega.grid, w_h, t)
 
 
-def _project_mean(w_spec):
-    """Check a vorticity spectrum's mean and set it to zero in place."""
-    _check_mean(w_spec[0, 0].real, "vorticity")
-    w_spec[0, 0] = 0.0
-    return w_spec
+def _project_mean(w_h):
+    """Check a vorticity half spectrum's mean and set it to zero in place."""
+    _check_mean(w_h[0, 0].real, "vorticity")
+    w_h[0, 0] = 0.0
+    return w_h
 
 
-def _velocity_half(grid: Grid, w_h):
-    """Half spectra of the velocity (D_y psi, -D_x psi) induced by omega."""
-    psi = w_h * grid._hinv_ksq
-    return psi * grid._hd1y, -(psi * grid._hd1x)
-
-
-def _assemble_state(grid: Grid, w_spec, t: float, phys=(None, None, None)):
-    """FlowState from a mean-free full vorticity spectrum, optionally with
-    physical (omega, u, v) arrays already at hand."""
-    w, u, v = phys
-    psi = w_spec * grid._inv_ksq
-    vel = VectorField(ScalarField._adopt(grid, phys=u, spec=psi * grid._d1y),
-                      ScalarField._adopt(grid, phys=v, spec=-(psi * grid._d1x)))
-    return FlowState(omega=ScalarField._adopt(grid, phys=w, spec=w_spec),
-                     psi=ScalarField._adopt(grid, spec=psi), vel=vel,
-                     time=float(t))
+def _assemble_state(grid: Grid, w_h, t: float) -> FlowState:
+    """FlowState from a mean-free vorticity half spectrum; no transform."""
+    psi = ScalarField._adopt(grid, half=w_h * grid._inv_ksq)
+    return FlowState(omega=ScalarField._adopt(grid, half=w_h), psi=psi,
+                     vel=velocity_from_stream(psi), time=float(t))
 
 
 def poincare_ratio(field: ScalarField) -> float:

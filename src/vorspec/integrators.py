@@ -19,8 +19,8 @@ third-order recurrence runs; this preserves third-order global accuracy.
 
 run() holds each history level as the half spectra (rfft2 layout) of w and
 N, so a step costs the eight real transforms of one convection evaluation;
-the flow states it hands to observers and sinks reuse the physical arrays
-that evaluation formed.
+the flow state it hands to observers and sinks is the one that evaluation
+read, with the physical omega, u and v it formed still cached.
 """
 
 from __future__ import annotations
@@ -40,10 +40,8 @@ from .diagnostics import (SeriesRecord, get_telescope_coefficients,
                           make_record)
 from .errors import BlowUpError, ConfigError, MeanViolationError, \
     StartupRequiredError
-from .fields import (MEAN_TOLERANCE, FlowState, _assemble_state,
-                     _project_mean, _velocity_half)
-from .spectral import (Grid, ScalarField, _full_spectrum, _half_norm_sq,
-                       _half_spectrum, _half_to_physical, mean)
+from .fields import MEAN_TOLERANCE, FlowState, _assemble_state, _project_mean
+from .spectral import Grid, ScalarField, _half_norm_sq, _half_spectrum, mean
 
 __all__ = [
     "SchemeId",
@@ -124,6 +122,10 @@ class RunConfig:
         if self.t_final < self.dt:
             raise ConfigError(
                 f"t_final = {self.t_final} is shorter than one step dt = {self.dt}")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ConfigError(
+                f"t_final = {self.t_final} is not a finite number of steps "
+                f"dt = {self.dt}")
         if not math.isclose(self.n_steps * self.dt, self.t_final,
                             rel_tol=1e-9):
             raise ConfigError(
@@ -177,13 +179,13 @@ class RunSummary:
     records: list = field(default_factory=list)
 
 
-def _helmholtz(rhs_spec, ksq, a: float, dt: float, nu: float):
-    """Per-mode division by a/dt + nu ksq on full or half spectra."""
-    m = rhs_spec[0, 0].real
+def _helmholtz(grid: Grid, rhs_h, a: float, dt: float, nu: float):
+    """Per-mode division of a half spectrum by a/dt + nu ksq."""
+    m = rhs_h[0, 0].real
     if abs(m) > MEAN_TOLERANCE:
         raise MeanViolationError(
             f"helmholtz right-hand side has mean {m:.6e} beyond tolerance")
-    return rhs_spec / (a / dt + nu * ksq)
+    return rhs_h / (a / dt + nu * grid._ksq)
 
 
 def helmholtz_solve(rhs: ScalarField, a: float, dt: float,
@@ -197,8 +199,8 @@ def helmholtz_solve(rhs: ScalarField, a: float, dt: float,
     if not (a > 0 and dt > 0):
         raise ValueError("helmholtz_solve needs a > 0 and dt > 0")
     g = rhs.grid
-    return ScalarField._adopt(g, spec=_helmholtz(rhs.spectral, g._ksq, a, dt,
-                                                 nu))
+    return ScalarField._adopt(g, half=_helmholtz(g, _half_spectrum(rhs), a,
+                                                 dt, nu))
 
 
 def _forcing_half(forcing, t: float, grid: Grid):
@@ -215,15 +217,11 @@ def _forcing_half(forcing, t: float, grid: Grid):
     return _half_spectrum(f)
 
 
-def _convect(grid: Grid, w_h, dealias: bool):
-    """Convection of a vorticity half spectrum by its own velocity.
-
-    Returns the half spectrum of N and the physical (omega, u, v) formed on
-    the way: eight real transforms in all.
-    """
-    u_h, v_h = _velocity_half(grid, w_h)
-    phys = tuple(_half_to_physical(grid, h) for h in (w_h, u_h, v_h))
-    return _skew_kernel(grid, w_h, u_h, v_h, *phys, dealias), phys
+def _convect(grid: Grid, w_h, t: float, dealias: bool):
+    """Flow state at time t of a mean-free vorticity half spectrum and the
+    half spectrum of its convection N: eight real transforms in all."""
+    flow = _assemble_state(grid, w_h, t)
+    return flow, _skew_kernel(flow.vel, flow.omega, dealias)
 
 
 def _implicit_omega(grid: Grid, levels, scheme: SchemeId, dt: float,
@@ -242,12 +240,12 @@ def _implicit_omega(grid: Grid, levels, scheme: SchemeId, dt: float,
         rhs += c * conv
     if f_h is not None:
         rhs += f_h
-    return _project_mean(_helmholtz(rhs, grid._hksq, float(a), dt, nu))
+    return _project_mean(_helmholtz(grid, rhs, float(a), dt, nu))
 
 
 def _explicit_rhs(grid: Grid, w_h, conv_h, nu: float, forcing, t: float):
     """Fully explicit right-hand side -N/2 + nu Lap w + f on half spectra."""
-    rhs = -0.5 * conv_h + nu * (-grid._hksq * w_h)
+    rhs = -0.5 * conv_h + nu * (-grid._ksq * w_h)
     f_h = _forcing_half(forcing, t, grid)
     return rhs if f_h is None else rhs + f_h
 
@@ -258,19 +256,18 @@ def _midpoint_omega(grid: Grid, level, cfg: RunConfig, forcing):
     dt, nu = cfg.dt, cfg.nu
     k1 = _explicit_rhs(grid, w0, conv0, nu, forcing, 0.0)
     w_mid = _project_mean(w0 + 0.5 * dt * k1)
-    conv_mid, _ = _convect(grid, w_mid, cfg.dealias)
+    _, conv_mid = _convect(grid, w_mid, 0.5 * dt, cfg.dealias)
     k2 = _explicit_rhs(grid, w_mid, conv_mid, nu, forcing, 0.5 * dt)
     return _project_mean(w0 + dt * k2)
 
 
 def _march(omega0: ScalarField, cfg: RunConfig, forcing):
-    """Yield (k, levels, phys) for the steps k = 0, 1, 2, ... without end.
+    """Yield (k, levels, flow) for the steps k = 0, 1, 2, ... without end.
 
     levels holds up to three newest-first (omega, N) half-spectrum pairs
-    ending at step k; phys holds the physical (omega, u, v) of step k, as
-    formed by the convection kernel. A multistep scheme takes step 1 by
-    the explicit midpoint rule and, for three levels, step 2 by the
-    two-level scheme.
+    ending at step k; flow is the FlowState of step k. A multistep scheme
+    takes step 1 by the explicit midpoint rule and, for three levels, step
+    2 by the two-level scheme.
     """
     grid = omega0.grid
     if grid.n != cfg.n or grid.length != cfg.length:
@@ -287,9 +284,9 @@ def _march(omega0: ScalarField, cfg: RunConfig, forcing):
             scheme = cfg.scheme if len(levels) >= need else SchemeId.IMEX_BDF2
             w_h = _implicit_omega(grid, levels, scheme, cfg.dt, cfg.nu,
                                   forcing, k * cfg.dt)
-        conv_h, phys = _convect(grid, w_h, cfg.dealias)
+        flow, conv_h = _convect(grid, w_h, k * cfg.dt, cfg.dealias)
         levels = ((w_h, conv_h),) + levels[:2]
-        yield k, levels, phys
+        yield k, levels, flow
 
 
 def _step(state: SolverState, scheme: SchemeId) -> tuple:
@@ -305,10 +302,8 @@ def _step(state: SolverState, scheme: SchemeId) -> tuple:
               for lvl in state.history]
     w_h = _implicit_omega(g, levels, scheme, dt, state.nu, state.forcing,
                           k * dt)
-    conv_h, phys = _convect(g, w_h, state.dealias)
-    flow = _assemble_state(g, _full_spectrum(g, w_h), k * dt, phys)
-    level = Level(flow.omega,
-                  ScalarField._adopt(g, spec=_full_spectrum(g, conv_h)))
+    flow, conv_h = _convect(g, w_h, k * dt, state.dealias)
+    level = Level(flow.omega, ScalarField._adopt(g, half=conv_h))
     return flow, replace(state, history=(level,) + state.history[:2],
                          step_index=k)
 
@@ -340,8 +335,8 @@ def startup(omega0: ScalarField, cfg: RunConfig,
         if k == need - 1:
             break
     g = omega0.grid
-    history = tuple(Level(*(ScalarField._adopt(g, spec=_full_spectrum(g, h))
-                            for h in level)) for level in levels)
+    history = tuple(Level(*(ScalarField._adopt(g, half=h) for h in level))
+                    for level in levels)
     return SolverState(grid=g, history=history, step_index=k, dt=cfg.dt,
                        nu=cfg.nu, forcing=forcing, dealias=cfg.dealias)
 
@@ -389,14 +384,11 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
     last_record = None
     omegas = ()  # newest-first vorticity fields of the stored levels
     t0 = time.perf_counter()
-    for k, levels, phys in _march(omega0, cfg, forcing):
-        w_h = levels[0][0]
-        w_l2 = float(np.sqrt(_half_norm_sq(grid, w_h)))
+    for k, levels, flow in _march(omega0, cfg, forcing):
+        w_l2 = float(np.sqrt(_half_norm_sq(grid, levels[0][0])))
         if k == 0:
             ref_l2 = w_l2
         _check_blowup(w_l2, ref_l2, k, last_record)
-        flow = _assemble_state(grid, _full_spectrum(grid, w_h), k * cfg.dt,
-                               phys)
         omegas = (flow.omega,) + omegas[:2]
         if observer is not None:
             observer(k, flow)

@@ -17,11 +17,13 @@ keep the full -4 pi^2 k^2 / L^2 symbol at Nyquist. Consequently
 divergence(gradient(f)) equals laplacian(f) exactly only on fields without
 Nyquist content; on odd grids the identity is unconditional.
 
-The time loop works on half spectra in rfft2 layout, shape (N, N//2 + 1):
-the retained columns are l = 0 .. N//2 and the rest follow from Hermitian
-symmetry, fhat[-k, -l] = conj(fhat[k, l]). The half tables are the first
-N//2 + 1 columns of the full ones; at even N column N//2 is the Nyquist
-column, whose first-derivative symbol is zeroed like the Nyquist row.
+Every field is real, so the package holds only half spectra in rfft2
+layout, shape (N, N//2 + 1): columns l = 0 .. N//2, the rest following from
+Hermitian symmetry fhat[-k, -l] = conj(fhat[k, l]). The tables, the
+operators below and the time loop all work on this layout; at even N column
+N//2 is the Nyquist column, whose first-derivative symbol is zeroed like the
+Nyquist row. The full (N, N) array exists only at the API edge, in
+ScalarField.spectral.
 """
 
 from __future__ import annotations
@@ -58,10 +60,9 @@ class Grid:
         Domain edge length L, default 1.
     """
 
-    __slots__ = ("n", "length", "spacing", "wavenumbers",
-                 "_d1x", "_d1y", "_lap", "_ksq", "_inv_ksq",
-                 "_hd1x", "_hd1y", "_hksq", "_hinv_ksq", "_hweight",
-                 "_neg_rows", "_nodes", "_dealias_mask")
+    __slots__ = ("n", "length", "spacing", "wavenumbers", "_d1x", "_d1y",
+                 "_ksq", "_inv_ksq", "_weight", "_neg_rows", "_nodes",
+                 "_dealias_mask")
 
     def __init__(self, n: int, length: float = 1.0):
         if not isinstance(n, (int, np.integer)) or n < 1:
@@ -76,36 +77,30 @@ class Grid:
         self.wavenumbers = np.rint(np.fft.fftfreq(self.n, d=1.0 / self.n)).astype(int)
         self.wavenumbers.setflags(write=False)
 
+        # half-spectrum tables: rows run over all k, columns over l = 0..N//2
+        m = self.n // 2 + 1
         k = self.wavenumbers.astype(float)
         kx = k[:, None]
-        ky = k[None, :]
+        ky = k[None, :m]
         two_pi_over_l = 2.0 * np.pi / self.length
 
         d1 = 1j * two_pi_over_l * k
         if self.n % 2 == 0:
-            d1 = d1.copy()
             d1[self.n // 2] = 0.0  # unmatched Nyquist mode has no odd partner
-        self._d1x = np.ascontiguousarray(np.broadcast_to(d1[:, None], (n, n)))
-        self._d1y = np.ascontiguousarray(np.broadcast_to(d1[None, :], (n, n)))
+        self._d1x = np.ascontiguousarray(np.broadcast_to(d1[:, None], (n, m)))
+        self._d1y = np.ascontiguousarray(np.broadcast_to(d1[None, :m], (n, m)))
         self._ksq = two_pi_over_l**2 * (kx * kx + ky * ky)  # 4 pi^2 |k|^2 / L^2
-        self._lap = -self._ksq
         with np.errstate(divide="ignore"):
-            inv = np.where(self._ksq > 0.0, 1.0 / self._ksq, 0.0)
-        self._inv_ksq = inv
-        m = self.n // 2 + 1
-        self._hd1x, self._hd1y, self._hksq, self._hinv_ksq = (
-            np.ascontiguousarray(t[:, :m])
-            for t in (self._d1x, self._d1y, self._ksq, self._inv_ksq))
-        # Parseval weights of the half-spectrum columns: every column but
-        # l = 0 and the even-N Nyquist column also stands for its conjugate
-        self._hweight = np.full(m, 2.0)
-        self._hweight[0] = 1.0
+            self._inv_ksq = np.where(self._ksq > 0.0, 1.0 / self._ksq, 0.0)
+        # Parseval weights of the columns: every column but l = 0 and the
+        # even-N Nyquist column also stands for its conjugate
+        self._weight = np.full(m, 2.0)
+        self._weight[0] = 1.0
         if self.n % 2 == 0:
-            self._hweight[-1] = 1.0
+            self._weight[-1] = 1.0
         self._neg_rows = -np.arange(self.n) % self.n  # row index of -k
-        for arr in (self._d1x, self._d1y, self._ksq, self._lap, self._inv_ksq,
-                    self._hd1x, self._hd1y, self._hksq, self._hinv_ksq,
-                    self._hweight, self._neg_rows):
+        for arr in (self._d1x, self._d1y, self._ksq, self._inv_ksq,
+                    self._weight, self._neg_rows):
             arr.setflags(write=False)
         self._nodes = None
         self._dealias_mask = None
@@ -151,20 +146,23 @@ class ScalarField:
     """Real scalar field with lazily synchronized physical and spectral views.
 
     The physical view is a real (n, n) array of node values; the spectral
-    view holds the complex coefficients of the finite Fourier expansion
-    (forward transform divided by n^2). Whichever view was not supplied is
-    computed on first access and cached, so a field is value-immutable:
-    all arrays are exposed read-only and arithmetic returns new fields.
+    view is held as the half spectrum (rfft2 layout) of the finite Fourier
+    expansion (forward transform divided by n^2). Whichever view was not supplied is computed
+    on first access and cached, so a field is value-immutable: all arrays
+    are exposed read-only and arithmetic returns new fields. The spectral
+    property expands the full (n, n) coefficients on each access; a full
+    spectrum F given to the constructor keeps its Hermitian part
+    (F + conj F[-k, -l]) / 2, the spectrum of ifft2(F).real.
     """
 
-    __slots__ = ("grid", "_phys", "_spec")
+    __slots__ = ("grid", "_phys", "_half")
 
     def __init__(self, grid: Grid, physical=None, spectral=None):
         if physical is None and spectral is None:
             raise ValueError("need a physical or a spectral array")
         self.grid = grid
         self._phys = None
-        self._spec = None
+        self._half = None
         shape = (grid.n, grid.n)
         if physical is not None:
             p = np.array(physical, dtype=np.float64, copy=True)
@@ -173,11 +171,14 @@ class ScalarField:
             p.setflags(write=False)
             self._phys = p
         if spectral is not None:
-            s = np.array(spectral, dtype=np.complex128, copy=True)
+            s = np.asarray(spectral, dtype=np.complex128)
             if s.shape != shape:
                 raise ValueError(f"spectral array shape {s.shape} != {shape}")
-            s.setflags(write=False)
-            self._spec = s
+            neg = grid._neg_rows
+            m = grid.n // 2 + 1
+            h = 0.5 * (s[:, :m] + np.conj(s[np.ix_(neg, neg[:m])]))
+            h.setflags(write=False)
+            self._half = h
 
     @classmethod
     def from_physical(cls, grid, values):
@@ -192,40 +193,37 @@ class ScalarField:
         return cls._adopt(grid, phys=np.zeros((grid.n, grid.n)))
 
     @classmethod
-    def _adopt(cls, grid, phys=None, spec=None):
+    def _adopt(cls, grid, phys=None, half=None):
         """Build a field taking ownership of freshly computed arrays."""
         f = cls.__new__(cls)
         f.grid = grid
         if phys is not None:
             phys = np.asarray(phys, dtype=np.float64)
             phys.setflags(write=False)
-        if spec is not None:
-            spec = np.asarray(spec, dtype=np.complex128)
-            spec.setflags(write=False)
+        if half is not None:
+            half = np.asarray(half, dtype=np.complex128)
+            half.setflags(write=False)
         f._phys = phys
-        f._spec = spec
-        if phys is None and spec is None:
+        f._half = half
+        if phys is None and half is None:
             raise ValueError("need a physical or a spectral array")
         return f
 
     @property
     def physical(self):
-        """Real node values; computed from the spectral view if stale."""
+        """Real node values; computed from the half spectrum if stale."""
         if self._phys is None:
-            n2 = self.grid.n * self.grid.n
-            p = np.fft.ifft2(self._spec).real * n2
+            p = _half_to_physical(self.grid, self._half)
             p.setflags(write=False)
             self._phys = p
         return self._phys
 
     @property
     def spectral(self):
-        """Fourier coefficients; computed from the physical view if stale."""
-        if self._spec is None:
-            s = np.fft.fft2(self._phys) / (self.grid.n * self.grid.n)
-            s.setflags(write=False)
-            self._spec = s
-        return self._spec
+        """Full (n, n) Fourier coefficients, expanded on each access."""
+        s = _full_spectrum(self.grid, _half_spectrum(self))
+        s.setflags(write=False)
+        return s
 
     # value-like arithmetic; combines whichever views both operands have fresh
     def __add__(self, other):
@@ -241,16 +239,17 @@ class ScalarField:
         if self._phys is not None and other._phys is not None:
             return ScalarField._adopt(self.grid,
                                       phys=self._phys + sign * other._phys)
-        return ScalarField._adopt(self.grid,
-                                  spec=self.spectral + sign * other.spectral)
+        return ScalarField._adopt(
+            self.grid,
+            half=_half_spectrum(self) + sign * _half_spectrum(other))
 
     def __mul__(self, c):
         if not np.isscalar(c):
             return NotImplemented
         c = float(c)
         phys = None if self._phys is None else c * self._phys
-        spec = None if self._spec is None else c * self._spec
-        return ScalarField._adopt(self.grid, phys=phys, spec=spec)
+        half = None if self._half is None else c * self._half
+        return ScalarField._adopt(self.grid, phys=phys, half=half)
 
     __rmul__ = __mul__
 
@@ -259,8 +258,8 @@ class ScalarField:
             return NotImplemented
         c = float(c)
         phys = None if self._phys is None else self._phys / c
-        spec = None if self._spec is None else self._spec / c
-        return ScalarField._adopt(self.grid, phys=phys, spec=spec)
+        half = None if self._half is None else self._half / c
+        return ScalarField._adopt(self.grid, phys=phys, half=half)
 
     def __neg__(self):
         return self * -1.0
@@ -292,7 +291,7 @@ class VectorField:
 
 def to_spectral(field: ScalarField) -> ScalarField:
     """Return the field with its spectral view materialized."""
-    field.spectral
+    _half_spectrum(field)
     return field
 
 
@@ -316,39 +315,39 @@ def derivative(field: ScalarField, axis: str, order: int = 1) -> ScalarField:
     elif order == 2:
         k = g.wavenumbers.astype(float)
         sym = -((2.0 * np.pi / g.length) ** 2) * k * k
-        mult = sym[:, None] if axis == "x" else sym[None, :]
+        mult = sym[:, None] if axis == "x" else sym[None, :g.n // 2 + 1]
     else:
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    return ScalarField._adopt(g, spec=field.spectral * mult)
+    return ScalarField._adopt(g, half=_half_spectrum(field) * mult)
 
 
 def gradient(field: ScalarField) -> VectorField:
     """Discrete gradient (D_x f, D_y f)."""
     g = field.grid
-    s = field.spectral
-    return VectorField(ScalarField._adopt(g, spec=s * g._d1x),
-                       ScalarField._adopt(g, spec=s * g._d1y))
+    s = _half_spectrum(field)
+    return VectorField(ScalarField._adopt(g, half=s * g._d1x),
+                       ScalarField._adopt(g, half=s * g._d1y))
 
 
 def divergence(vf: VectorField) -> ScalarField:
     """Discrete divergence D_x u + D_y v."""
     g = vf.grid
-    return ScalarField._adopt(
-        g, spec=vf.x.spectral * g._d1x + vf.y.spectral * g._d1y)
+    return ScalarField._adopt(g, half=_half_spectrum(vf.x) * g._d1x
+                              + _half_spectrum(vf.y) * g._d1y)
 
 
 def laplacian(field: ScalarField) -> ScalarField:
     """Discrete Laplacian via the combined second-order symbol."""
     g = field.grid
-    return ScalarField._adopt(g, spec=field.spectral * g._lap)
+    return ScalarField._adopt(g, half=-(_half_spectrum(field) * g._ksq))
 
 
 def perp_gradient(field: ScalarField) -> VectorField:
     """Rotated gradient (D_y psi, -D_x psi); discretely divergence-free."""
     g = field.grid
-    s = field.spectral
-    return VectorField(ScalarField._adopt(g, spec=s * g._d1y),
-                       ScalarField._adopt(g, spec=-(s * g._d1x)))
+    s = _half_spectrum(field)
+    return VectorField(ScalarField._adopt(g, half=s * g._d1y),
+                       ScalarField._adopt(g, half=-(s * g._d1x)))
 
 
 def inner_product(f: ScalarField, g: ScalarField) -> float:
@@ -366,20 +365,19 @@ def l2_norm(f: ScalarField) -> float:
 
 def mean(f: ScalarField) -> float:
     """Discrete average of f, the (0, 0) Fourier coefficient."""
-    if f._spec is not None:
-        return float(f._spec[0, 0].real)
+    if f._half is not None:
+        return float(f._half[0, 0].real)
     return float(np.mean(f._phys))
 
 
 def _half_spectrum(field: ScalarField):
-    """Half spectrum (rfft2 layout) of a real field.
-
-    A view of the full spectrum when that is fresh, else one real transform
-    of the physical view.
-    """
-    if field._spec is not None:
-        return field._spec[:, :field.grid.n // 2 + 1]
-    return np.fft.rfft2(field._phys, norm="forward")
+    """Half spectrum (rfft2 layout) of a real field, cached on the field:
+    one real transform of the physical view when it is not yet at hand."""
+    if field._half is None:
+        h = np.fft.rfft2(field._phys, norm="forward")
+        h.setflags(write=False)
+        field._half = h
+    return field._half
 
 
 def _half_to_physical(grid: Grid, half):
@@ -410,5 +408,5 @@ def _half_norm_sq(grid: Grid, half, m: int = 0) -> float:
     """
     power = half.real**2 + half.imag**2
     if m:
-        power *= grid._hksq**m
-    return grid.length**2 * float(power.sum(axis=0) @ grid._hweight)
+        power *= grid._ksq**m
+    return grid.length**2 * float(power.sum(axis=0) @ grid._weight)

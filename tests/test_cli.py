@@ -194,3 +194,33 @@ def test_uncreatable_snapshot_dir_rejected_in_one_line(tmp_path, capsys):
         str(blocker / "snaps"))
     assert code == 2
     assert err.count("\n") == 1 and str(blocker) in err
+
+
+@pytest.mark.parametrize("argv, words", [
+    (("tg-longrun", "--n", "0"), "n must be at least 1"),
+    (("tg-longrun", "--n", "-4"), "n must be at least 1"),
+    (("tg-convergence", "--n", "0"), "n must be at least 1"),
+    (("tg-convergence", "--n", "-4"), "n must be at least 1"),
+    (("shear-layer", "--n", "0"), "n must be at least 1"),
+    (("shear-layer", "--n", "-4"), "n must be at least 1"),
+    (("telescope", "--trials", "0"), "trials must be at least 1"),
+    (("telescope", "--starts", "0"), "starts must be at least 1"),
+    (("tg-longrun", "--n", "16", "--dt", "5e-324", "--t-final", "1"),
+     "not a finite number of steps"),
+])
+def test_bad_sizes_and_counts_rejected_in_one_line(capsys, argv, words):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.count("\n") == 1 and words in err
+
+
+def test_unwritable_convergence_output_rejected_before_the_study(
+        tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the study ran before the output was opened")
+
+    monkeypatch.setattr("vorspec.cli.convergence_study", never)
+    code, _, err = run_cli(capsys, "tg-convergence", "--n", "8", "--output",
+                           str(tmp_path / "missing" / "orders.csv"))
+    assert code == 2
+    assert err.count("\n") == 1 and "missing" in err

@@ -26,15 +26,20 @@ def reference_skew_convection(vel, omega, dealias=False):
     v = vel.y.physical
     w = omega.physical
     n2 = g.n * g.n
+    # full first-derivative tables, even-N Nyquist mode zeroed
+    d1 = 1j * (2.0 * np.pi / g.length) * g.wavenumbers
+    if g.n % 2 == 0:
+        d1[g.n // 2] = 0.0
+    d1x, d1y = d1[:, None], d1[None, :]
     wspec = omega.spectral
-    wx = np.fft.ifft2(wspec * g._d1x).real * n2
-    wy = np.fft.ifft2(wspec * g._d1y).real * n2
+    wx = np.fft.ifft2(wspec * d1x).real * n2
+    wy = np.fft.ifft2(wspec * d1y).real * n2
     adv = u * wx + v * wy
     flux_x_spec = np.fft.fft2(u * w) / n2
     flux_y_spec = np.fft.fft2(v * w) / n2
     adv_spec = np.fft.fft2(adv) / n2
     adv_spec[0, 0] = 0.0
-    result = adv_spec + flux_x_spec * g._d1x + flux_y_spec * g._d1y
+    result = adv_spec + flux_x_spec * d1x + flux_y_spec * d1y
     if dealias:
         result = np.where(g.dealias_mask, result, 0.0)
     return result

@@ -315,3 +315,16 @@ def test_run_step_costs_eight_real_transforms(monkeypatch):
     for k in range(3, 11):
         assert per_step[k] == {"irfft2": 5, "rfft2": 3}, k
     assert counts == {}  # the record of the final step
+
+
+def test_no_complex_transform_anywhere(monkeypatch):
+    """Every field is real, so the package runs on real transforms alone:
+    the invariant suite and a BDF3 run pass with complex transforms gone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex transform called")
+
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    assert v.run_checks()
+    summary = run(tg_omega0(n=16), tg_config(n=16, dt=0.01, t_final=0.05))
+    assert summary.steps == 5

@@ -122,11 +122,16 @@ def test_nyquist_mode_first_derivative_is_zeroed():
 
 def test_half_spectrum_tables_zero_nyquist_on_both_axes():
     g = Grid(8)
-    assert g._hd1x.shape == g._hd1y.shape == (8, 5)
-    assert np.all(g._hd1x[4, :] == 0.0)  # Nyquist row of the full axis
-    assert np.all(g._hd1y[:, 4] == 0.0)  # Nyquist column of the halved axis
-    np.testing.assert_array_equal(g._hd1y[:, :4], g._d1y[:, :4])
-    np.testing.assert_array_equal(g._hksq, g._ksq[:, :5])
+    assert g._d1x.shape == g._d1y.shape == g._ksq.shape == (8, 5)
+    assert np.all(g._d1x[4, :] == 0.0)  # Nyquist row of the full axis
+    assert np.all(g._d1y[:, 4] == 0.0)  # Nyquist column of the halved axis
+    # the first columns of the full tables, built here from the mode indices
+    k = g.wavenumbers.astype(float)
+    d1 = 1j * (2.0 * np.pi / g.length) * k
+    ksq = (2.0 * np.pi / g.length)**2 * (k[:, None]**2 + k[None, :]**2)
+    np.testing.assert_array_equal(g._d1y[:, :4],
+                                  np.broadcast_to(d1[None, :4], (8, 4)))
+    np.testing.assert_array_equal(g._ksq, ksq[:, :5])
 
 
 @pytest.mark.parametrize("n", [15, 16])
@@ -141,6 +146,17 @@ def test_half_spectrum_round_trip_and_parseval(noise, n):
     np.testing.assert_allclose(half, full[:, :n // 2 + 1], atol=1e-14)
     np.testing.assert_allclose(_full_spectrum(g, half), full, atol=1e-14)
     assert _half_norm_sq(g, half) == pytest.approx(l2_norm(f)**2, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_full_spectrum_reduces_to_its_hermitian_part(rng, n):
+    g = Grid(n)
+    F = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    f = ScalarField.from_spectral(g, F)
+    np.testing.assert_allclose(f.physical, np.fft.ifft2(F).real * n**2,
+                               rtol=0, atol=1e-13)
+    mirror = np.roll(F[::-1, ::-1], 1, axis=(0, 1))  # F[-k, -l]
+    np.testing.assert_array_equal(f.spectral, (F + np.conj(mirror)) / 2)
 
 
 def test_laplacian_matches_div_grad_on_nyquist_free_fields(noise):
