@@ -14,7 +14,8 @@ Two classical doubly periodic test flows on the unit square:
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -74,6 +75,10 @@ class ShearLayerSpec:
     nu: float
 
     def __post_init__(self):
+        for name in ("rho", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if not (self.rho > 0):
             raise ConfigError(f"rho must be positive, got {self.rho}")
         if self.delta < 0:
@@ -217,8 +222,10 @@ def convergence_study(n: int, nu: float, t_final: float,
     status = []
     for dt in dts:
         cfg = RunConfig(n=n, dt=dt, nu=nu, t_final=t_final, scheme=scheme,
-                        series_every=max(1, int(round(t_final / dt))),
                         dealias=dealias)
+        # records at step 0 and the final step only; derived once cfg has
+        # validated dt
+        cfg = replace(cfg, series_every=cfg.n_steps)
         acc = _ErrorAccumulator(grid, nu, dt)
         try:
             summary = run(omega0, cfg, observer=acc.observe)

@@ -208,6 +208,8 @@ def _resolve(args: argparse.Namespace, table) -> argparse.Namespace:
             value = default
         if name in _COUNTS and value is not None and value < 1:
             raise ConfigError(f"{name} must be at least 1, got {value}")
+        if name == "seed" and value < 0:
+            raise ConfigError(f"seed must be nonnegative, got {value}")
         out[name] = value
     if config:
         unknown = ", ".join(sorted(config))

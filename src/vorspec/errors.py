@@ -5,7 +5,6 @@ __all__ = [
     "GridMismatchError",
     "MeanViolationError",
     "NotDivergenceFreeError",
-    "StartupRequiredError",
     "BlowUpError",
     "TelescopeSolveError",
     "ConfigError",
@@ -26,10 +25,6 @@ class MeanViolationError(VorspecError, ValueError):
 
 class NotDivergenceFreeError(VorspecError, ValueError):
     """A velocity field violates the discrete divergence-free precondition."""
-
-
-class StartupRequiredError(VorspecError, RuntimeError):
-    """A multistep integrator was invoked with too few history levels."""
 
 
 class BlowUpError(VorspecError, RuntimeError):

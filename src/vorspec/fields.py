@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import MeanViolationError
 from .spectral import (Grid, ScalarField, VectorField, _half_spectrum,
-                       divergence, l2_norm, mean, perp_gradient)
+                       l2_norm, mean, perp_gradient)
 
 __all__ = [
     "MEAN_TOLERANCE",
@@ -111,8 +111,3 @@ def poincare_ratio(field: ScalarField) -> float:
     if denom == 0.0:
         return 0.0
     return l2_norm(field) / denom
-
-
-def div_l2(vel: VectorField) -> float:
-    """L2 norm of the discrete divergence of a velocity field."""
-    return l2_norm(divergence(vel))

@@ -17,10 +17,13 @@ The startup ladder computes w^1 with one explicit-midpoint RK2 step on the
 fully explicit right-hand side and w^2 with one BDF2 step, after which the
 third-order recurrence runs; this preserves third-order global accuracy.
 
-run() holds each history level as the half spectra (rfft2 layout) of w and
-N, so a step costs the eight real transforms of one convection evaluation;
-the flow state it hands to observers and sinks is the one that evaluation
-read, with the physical omega, u and v it formed still cached.
+run() is the one way to advance a solution; its observer sees the flow
+state of every step from step 0 on, and the domain length comes from the
+initial vorticity's grid. It holds each history level as the half spectra
+(rfft2 layout) of w and N, so a step costs the eight real transforms of one
+convection evaluation; the flow state it hands to observers and sinks is the
+one that evaluation read, with the physical omega, u and v it formed still
+cached.
 """
 
 from __future__ import annotations
@@ -28,32 +31,24 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
 
 import numpy as np
 
 from .convection import _skew_kernel
 from .diagnostics import (SeriesRecord, get_telescope_coefficients,
                           make_record)
-from .errors import BlowUpError, ConfigError, MeanViolationError, \
-    StartupRequiredError
+from .errors import BlowUpError, ConfigError, MeanViolationError
 from .fields import MEAN_TOLERANCE, FlowState, _assemble_state, _project_mean
 from .spectral import Grid, ScalarField, _half_norm_sq, _half_spectrum, mean
 
 __all__ = [
     "SchemeId",
     "RunConfig",
-    "Level",
-    "SolverState",
     "RunSummary",
     "helmholtz_solve",
-    "euler_step",
-    "bdf2_step",
-    "bdf3_step",
-    "startup",
     "run",
     "BLOWUP_FACTOR",
 ]
@@ -106,7 +101,6 @@ class RunConfig:
     snapshot_every: int = 0
     series_every: int = 1
     dealias: bool = False
-    length: float = 1.0
 
     def __post_init__(self):
         if self.n < 4:
@@ -139,32 +133,6 @@ class RunConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
-
-
-@dataclass(frozen=True)
-class Level:
-    """One history level: the vorticity and its cached convection term."""
-
-    omega: ScalarField
-    conv: ScalarField
-
-
-@dataclass(frozen=True)
-class SolverState:
-    """Multistep integrator state positioned after step step_index.
-
-    history is newest-first, up to three levels; every stored vorticity is
-    mean-free and each cached convection term was computed from its own
-    level's flow state.
-    """
-
-    grid: Grid
-    history: tuple
-    step_index: int
-    dt: float
-    nu: float
-    forcing: Optional[Callable[[float], ScalarField]] = None
-    dealias: bool = False
 
 
 @dataclass
@@ -270,10 +238,9 @@ def _march(omega0: ScalarField, cfg: RunConfig, forcing):
     2 by the two-level scheme.
     """
     grid = omega0.grid
-    if grid.n != cfg.n or grid.length != cfg.length:
+    if grid.n != cfg.n:
         raise ConfigError(
-            f"initial data on {grid} does not match config (n={cfg.n}, "
-            f"length={cfg.length})")
+            f"initial data on {grid} does not match config (n={cfg.n})")
     need = cfg.scheme.history_required
     w_h = _project_mean(np.array(_half_spectrum(omega0)))
     levels = ()
@@ -287,58 +254,6 @@ def _march(omega0: ScalarField, cfg: RunConfig, forcing):
         flow, conv_h = _convect(grid, w_h, k * cfg.dt, cfg.dealias)
         levels = ((w_h, conv_h),) + levels[:2]
         yield k, levels, flow
-
-
-def _step(state: SolverState, scheme: SchemeId) -> tuple:
-    """One step of scheme on a public SolverState."""
-    need = scheme.history_required
-    if len(state.history) < need:
-        raise StartupRequiredError(
-            f"{scheme.value} step needs {need} history level(s), got "
-            f"{len(state.history)}")
-    g, dt = state.grid, state.dt
-    k = state.step_index + 1
-    levels = [(_half_spectrum(lvl.omega), _half_spectrum(lvl.conv))
-              for lvl in state.history]
-    w_h = _implicit_omega(g, levels, scheme, dt, state.nu, state.forcing,
-                          k * dt)
-    flow, conv_h = _convect(g, w_h, k * dt, state.dealias)
-    level = Level(flow.omega, ScalarField._adopt(g, half=conv_h))
-    return flow, replace(state, history=(level,) + state.history[:2],
-                         step_index=k)
-
-
-def euler_step(state: SolverState) -> tuple:
-    """One first-order IMEX Euler step."""
-    return _step(state, SchemeId.IMEX_EULER)
-
-
-def bdf2_step(state: SolverState) -> tuple:
-    """One second-order IMEX BDF step with extrapolated convection."""
-    return _step(state, SchemeId.IMEX_BDF2)
-
-
-def bdf3_step(state: SolverState) -> tuple:
-    """One third-order IMEX BDF step with quadratic convection extrapolation."""
-    return _step(state, SchemeId.IMEX_BDF3)
-
-
-def startup(omega0: ScalarField, cfg: RunConfig,
-            forcing=None) -> SolverState:
-    """Fill the multistep history for cfg.scheme starting from omega0.
-
-    For the third-order scheme this takes the RK2 and BDF2 ladder steps and
-    returns a three-level state positioned at step 2.
-    """
-    need = cfg.scheme.history_required
-    for k, levels, _ in _march(omega0, cfg, forcing):
-        if k == need - 1:
-            break
-    g = omega0.grid
-    history = tuple(Level(*(ScalarField._adopt(g, half=h) for h in level))
-                    for level in levels)
-    return SolverState(grid=g, history=history, step_index=k, dt=cfg.dt,
-                       nu=cfg.nu, forcing=forcing, dealias=cfg.dealias)
 
 
 def _check_blowup(w_l2: float, ref_l2: float, step: int, last_record):
@@ -355,7 +270,8 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
     Parameters
     ----------
     omega0 : ScalarField
-        Initial vorticity on a grid matching cfg.
+        Initial vorticity on a grid of cfg.n points per side; its grid
+        sets the domain length.
     cfg : RunConfig
         Scheme, step size, viscosity, cadences.
     forcing : callable, optional

@@ -13,7 +13,7 @@ Three formats, all plain and inspectable:
 from __future__ import annotations
 
 import struct
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .spectral import ScalarField
 
 __all__ = [
     "format_float",
-    "write_series_csv",
     "CsvSeriesWriter",
     "write_pgm",
     "write_raw",
@@ -55,13 +54,6 @@ class CsvSeriesWriter:
         self.stream.write(",".join(format_float(v) for v in record.values()))
         self.stream.write("\n")
         self.stream.flush()
-
-
-def write_series_csv(stream: IO[str], records: Iterable[SeriesRecord]):
-    """Write a complete series in one call."""
-    writer = CsvSeriesWriter(stream)
-    for rec in records:
-        writer.write(rec)
 
 
 def write_pgm(stream: IO[bytes], field: ScalarField):

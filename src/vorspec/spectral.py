@@ -36,8 +36,6 @@ __all__ = [
     "Grid",
     "ScalarField",
     "VectorField",
-    "to_spectral",
-    "to_physical",
     "derivative",
     "gradient",
     "divergence",
@@ -287,18 +285,6 @@ class VectorField:
 
     def __repr__(self):
         return f"VectorField(grid={self.grid})"
-
-
-def to_spectral(field: ScalarField) -> ScalarField:
-    """Return the field with its spectral view materialized."""
-    _half_spectrum(field)
-    return field
-
-
-def to_physical(field: ScalarField) -> ScalarField:
-    """Return the field with its physical view materialized."""
-    field.physical
-    return field
 
 
 def derivative(field: ScalarField, axis: str, order: int = 1) -> ScalarField:

@@ -207,6 +207,20 @@ def test_uncreatable_snapshot_dir_rejected_in_one_line(tmp_path, capsys):
     (("telescope", "--starts", "0"), "starts must be at least 1"),
     (("tg-longrun", "--n", "16", "--dt", "5e-324", "--t-final", "1"),
      "not a finite number of steps"),
+    (("tg-convergence", "--n", "8", "--levels", "3", "--dt0", "0"),
+     "dt must be positive"),
+    (("tg-convergence", "--n", "8", "--levels", "3", "--dt0", "nan"),
+     "dt must be finite"),
+    (("tg-convergence", "--n", "8", "--levels", "3", "--dt0", "1e-320"),
+     "not a finite number of steps"),
+    (("telescope", "--seed", "-1", "--trials", "5"),
+     "seed must be nonnegative"),
+    (("shear-layer", "--n", "16", "--t-final", "0.0024", "--delta", "nan"),
+     "delta must be finite"),
+    (("shear-layer", "--n", "16", "--t-final", "0.0024", "--delta", "inf"),
+     "delta must be finite"),
+    (("shear-layer", "--n", "16", "--t-final", "0.0024", "--rho", "inf"),
+     "rho must be finite"),
 ])
 def test_bad_sizes_and_counts_rejected_in_one_line(capsys, argv, words):
     code, _, err = run_cli(capsys, *argv)

@@ -1,12 +1,10 @@
-"""Time integration: step operators, startup chain, full runs.
+"""Time integration: the startup chain and the schemes, through run().
 
 The decaying vortex reduces every scheme to a scalar recurrence on the
 resolved mode (convection vanishes), giving exact per-step oracles. A
 manufactured solution with genuinely active convection checks the global
-order of the startup chain plus the third-order steps.
+order of each scheme, startup chain included.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -26,7 +24,6 @@ from vorspec import (
     make_state,
     mean,
     run,
-    startup,
     taylor_green_exact,
 )
 
@@ -34,10 +31,10 @@ NU = 1e-3
 LAM = -8.0 * NU * np.pi**2  # decay rate of the resolved vortex mode
 
 
-def scalar_trajectory(dt, steps):
-    """Independent recurrence for the mode amplitude: explicit-midpoint
-    first step, two-level BDF second step, three-level BDF after."""
-    z = LAM * dt
+def scalar_trajectory(z, steps):
+    """Independent recurrence for the amplitude of a mode with decay factor
+    z = lambda dt: explicit-midpoint first step, two-level BDF second step,
+    three-level BDF after."""
     ys = [1.0]
     if steps >= 1:
         ys.append(ys[0] * (1.0 + z + 0.5 * z * z))
@@ -151,48 +148,32 @@ def test_bdf3_trajectory_matches_scalar_recurrence():
     amps = []
     run(tg_omega0(), cfg,
         observer=lambda k, fl: amps.append(l2_norm(fl.omega) / (2 * np.pi)))
-    ys = scalar_trajectory(dt, steps)
+    ys = scalar_trajectory(LAM * dt, steps)
     assert len(amps) == steps + 1
     np.testing.assert_allclose(amps, ys, rtol=1e-12)
 
 
-def test_startup_produces_three_levels():
-    cfg = tg_config(dt=0.005, t_final=0.05)
-    state = startup(tg_omega0(), cfg)
-    assert len(state.history) == 3
-    assert state.step_index == 2
-    ys = scalar_trajectory(0.005, 2)
-    # history is newest-first
-    for lvl, y in zip(state.history, reversed(ys)):
-        assert l2_norm(lvl.omega) / (2 * np.pi) == pytest.approx(y, rel=1e-12)
-
-
-@pytest.mark.parametrize("scheme, step", [
-    (SchemeId.IMEX_EULER, v.euler_step),
-    (SchemeId.IMEX_BDF2, v.bdf2_step),
-    (SchemeId.IMEX_BDF3, v.bdf3_step),
-])
-def test_public_steps_reproduce_run(noise, scheme, step):
-    # a random vorticity, so that convection is active
-    omega0 = noise(Grid(16))
-    cfg = RunConfig(n=16, dt=0.01, nu=NU, t_final=0.06, scheme=scheme)
-    seen = []
-    run(omega0, cfg, observer=lambda k, fl: seen.append(fl.omega.spectral))
-    state = startup(omega0, cfg)
-    assert len(state.history) == scheme.history_required
-    while state.step_index < cfg.n_steps:
-        flow, state = step(state)
-        np.testing.assert_array_equal(flow.omega.spectral,
-                                      seen[state.step_index])
-    short = state.history[:scheme.history_required - 1]
-    with pytest.raises(v.StartupRequiredError):
-        step(dataclasses.replace(state, history=short))
+def test_run_takes_the_domain_length_from_the_grid():
+    # one Fourier mode on a square of side 2: convection vanishes and the
+    # mode decays at lambda = -2 nu (2 pi / L)^2
+    length, nu, dt, steps = 2.0, 0.05, 0.01, 20
+    g = Grid(16, length=length)
+    X, Y = g.nodes()
+    kl = 2.0 * np.pi / length
+    omega0 = ScalarField.from_physical(g, np.sin(kl * X) * np.sin(kl * Y))
+    cfg = RunConfig(n=16, dt=dt, nu=nu, t_final=steps * dt)
+    amps = []
+    run(omega0, cfg,
+        observer=lambda k, fl: amps.append(l2_norm(fl.omega)
+                                           / l2_norm(omega0)))
+    ys = scalar_trajectory(-2.0 * nu * kl**2 * dt, steps)
+    np.testing.assert_allclose(amps, ys, rtol=1e-12)
 
 
 # --- global order with active convection -------------------------------------
 
 
-def manufactured_error(dt):
+def manufactured_error(dt, scheme=SchemeId.IMEX_BDF3):
     """Global L2 error at T = 0.5 for a two-mode manufactured solution whose
     convection does not vanish. The forcing is built with the package's own
     spatial operators, so the measured error is purely temporal."""
@@ -217,16 +198,30 @@ def manufactured_error(dt):
         conv = v.skew_convection(st.vel, st.omega)
         return domega_dt(t) + 0.5 * conv - nu * laplacian(st.omega)
 
-    cfg = RunConfig(n=n, dt=dt, nu=nu, t_final=t_final)
+    cfg = RunConfig(n=n, dt=dt, nu=nu, t_final=t_final, scheme=scheme)
     summary = run(omega_e(0.0), cfg, forcing=forcing)
     return l2_norm(summary.final_state.omega - omega_e(t_final))
 
 
+def manufactured_orders(scheme):
+    errs = [manufactured_error(dt, scheme) for dt in (0.01, 0.005, 0.0025)]
+    return np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+
+
 def test_bdf3_third_order_with_convection():
-    errs = [manufactured_error(dt) for dt in (0.01, 0.005, 0.0025)]
-    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    orders = manufactured_orders(SchemeId.IMEX_BDF3)
     assert np.all(orders > 2.8)
     assert np.all(orders < 3.2)
+
+
+@pytest.mark.parametrize("scheme, lo, hi", [
+    (SchemeId.IMEX_EULER, 0.8, 1.2),
+    (SchemeId.IMEX_BDF2, 1.8, 2.2),
+])
+def test_low_order_schemes_with_convection(scheme, lo, hi):
+    orders = manufactured_orders(scheme)
+    assert np.all(orders > lo)
+    assert np.all(orders < hi)
 
 
 # --- run bookkeeping ----------------------------------------------------------

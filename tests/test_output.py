@@ -15,7 +15,6 @@ from vorspec import (
     read_raw,
     write_pgm,
     write_raw,
-    write_series_csv,
 )
 
 
@@ -33,7 +32,9 @@ def test_format_float_round_trips_doubles():
 
 def test_csv_header_and_rows():
     buf = io.StringIO()
-    write_series_csv(buf, [sample_record(0.0), sample_record(1.0)])
+    writer = CsvSeriesWriter(buf)
+    writer.write(sample_record(0.0))
+    writer.write(sample_record(1.0))
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == ("t,l2_omega,h1_omega,energy,enstrophy,"
                         "div_error,max_omega,F,G1")
