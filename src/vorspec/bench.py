@@ -25,7 +25,7 @@ from .fields import FlowState, make_state
 from .integrators import RunConfig, SchemeId, run
 from .output import format_float
 from .spectral import (Grid, ScalarField, _half_norm_sq, _half_spectrum,
-                       derivative)
+                       _moments, derivative)
 
 __all__ = [
     "TaylorGreenSpec",
@@ -180,8 +180,7 @@ class _ErrorAccumulator:
         self.h1sq = {"omega": 0.0, "psi": 0.0, "u": 0.0}
 
     def _norms(self, err_h):
-        return (_half_norm_sq(self.grid, err_h),
-                _half_norm_sq(self.grid, err_h, 1))
+        return _moments(self.grid, err_h, err_h)[:2]
 
     def observe(self, step: int, flow: FlowState):
         decay = np.exp(self.rate * flow.time)

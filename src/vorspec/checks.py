@@ -8,13 +8,13 @@ deterministic (fixed seed) and finishes in seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, IO, Optional
+from typing import IO, Optional
 
 import numpy as np
 
 from .bench import TaylorGreenSpec, taylor_green_exact
 from .convection import skew_convection
-from .diagnostics import (bdf3_stencil, get_telescope_coefficients, hm_norm,
+from .diagnostics import (bdf3_stencil, get_telescope_coefficients,
                           stability_F, verify_telescope)
 from .fields import make_state, poincare_ratio, solve_poisson
 from .integrators import RunConfig, SchemeId, helmholtz_solve, run

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NotDivergenceFreeError
 from .spectral import (ScalarField, VectorField, _half_norm_sq,
-                       _half_spectrum, _half_to_physical)
+                       _half_spectrum, _half_to_physical, _norm_sq)
 
 __all__ = ["DIV_FREE_TOLERANCE", "skew_convection"]
 
@@ -38,11 +38,12 @@ def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool):
     """Half spectrum (rfft2 layout) of N(u, omega).
 
     Checks the divergence precondition by Parseval on the half spectra
-    before any transform, then reads the fields' physical views.
+    before any transform, leaving ||omega||_2 cached on omega for run()'s
+    blow-up guard, then reads the fields' physical views.
     """
     grid = omega.grid
     w_h, u_h, v_h = (_half_spectrum(f) for f in (omega, vel.x, vel.y))
-    w_l2 = np.sqrt(_half_norm_sq(grid, w_h))
+    w_l2 = np.sqrt(_norm_sq(omega))
     d = np.sqrt(_half_norm_sq(grid, u_h * grid._d1x + v_h * grid._d1y))
     if d > DIV_FREE_TOLERANCE * w_l2:
         raise NotDivergenceFreeError(

@@ -21,12 +21,14 @@ Gauss-Newton with an analytic Jacobian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import TelescopeSolveError
+from .errors import GridMismatchError, TelescopeSolveError
 from .fields import FlowState
-from .spectral import ScalarField, _half_norm_sq, _half_spectrum, l2_norm
+from .spectral import (ScalarField, _half_norm_sq, _half_spectrum, _moments,
+                       _norm_sq, l2_norm)
 
 __all__ = [
     "TelescopeCoeffs",
@@ -282,19 +284,17 @@ def hm_norm(f: ScalarField, m: int) -> float:
     """
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
-    return float(np.sqrt(_half_norm_sq(f.grid, _half_spectrum(f), m)))
+    return float(np.sqrt(_norm_sq(f, m)))
 
 
 def energy(state: FlowState) -> float:
     """Kinetic energy, half the squared L2 norm of the velocity."""
-    g = state.grid
-    return 0.5 * (_half_norm_sq(g, _half_spectrum(state.vel.x))
-                  + _half_norm_sq(g, _half_spectrum(state.vel.y)))
+    return 0.5 * (_norm_sq(state.vel.x) + _norm_sq(state.vel.y))
 
 
 def enstrophy(state: FlowState) -> float:
     """Half the squared L2 norm of the vorticity."""
-    return 0.5 * _half_norm_sq(state.grid, _half_spectrum(state.omega))
+    return 0.5 * _norm_sq(state.omega)
 
 
 def div_error(state: FlowState) -> float:
@@ -305,17 +305,24 @@ def div_error(state: FlowState) -> float:
     return float(np.sqrt(_half_norm_sq(g, div)))
 
 
-def _padded_history(history):
-    hist = list(history)
-    if not hist:
-        raise ValueError("history must contain at least one field")
-    while len(hist) < 3:
-        hist.append(hist[-1])  # pre-start levels default to the oldest data
-    return hist[:3]
+@lru_cache(maxsize=4)
+def _quadratic_forms(alpha):
+    """(Q0, e0, Q1, e1) of _functionals: the 3x3 matrices of F and G1 as
+    quadratic forms in (w0, w1, w2) and the weights e of their nu dt terms."""
+    a = alpha
+    rows = np.array([[a[0], 0.0, 0.0], [a[1], a[2], 0.0], [a[3], a[4], a[5]]])
+    diffs = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])  # w0-w1, w1-w2
+    # einsum, not a BLAS matmul, whose library code would page in for 3x3
+    base = np.einsum("ri,rj->ij", rows, rows)
+    q0, q1 = (base + np.einsum("ri,r,rj->ij", diffs, r, diffs)
+              for r in ((7.0 / 8.0, 5.0 / 24.0), (5.0 / 6.0, 1.0 / 6.0)))
+    return (q0, np.array([7.0 / 4.0, 15.0 / 32.0, 13.0 / 64.0]),
+            q1, np.array([37.0 / 24.0, 17.0 / 48.0, 17.0 / 96.0]))
 
 
-def _functionals(history, nu: float, dt: float, coeffs: TelescopeCoeffs):
-    """(F, G1) over the newest-first history, from half-spectrum powers.
+def _functionals(history, nu: float, dt: float, coeffs: TelescopeCoeffs,
+                 grid=None):
+    """(F, G1) over the newest-first history, from its Gram matrices.
 
     With |.|_m the H^m seminorm (|.|_0 the L2 norm), F and G1 are
 
@@ -324,29 +331,29 @@ def _functionals(history, nu: float, dt: float, coeffs: TelescopeCoeffs):
                + r2 |w1 - w2|_m^2 + nu dt sum_j e_j |w_j|_{m+1}^2
 
     at m = 0, (r1, r2) = (7/8, 5/24), e = (7/4, 15/32, 13/64) and at
-    m = 1, (r1, r2) = (5/6, 1/6), e = (37/24, 17/48, 17/96). The power
-    spectra of the seven fields are formed once and weighted per mode.
+    m = 1, (r1, r2) = (5/6, 1/6), e = (37/24, 17/48, 17/96): quadratic
+    forms in the levels, read off their H^m Gram matrices. The diagonals are
+    the levels' cached norms; only three cross moments are new work. Every
+    level must be on grid (default: the first level's).
     """
-    a = coeffs.alpha
-    hist = _padded_history(history)
-    g = hist[0].grid
-    w0, w1, w2 = (_half_spectrum(f) for f in hist)
-    p0, p1, p2, c1, c2, d1, d2 = (
-        x.real**2 + x.imag**2
-        for x in (w0, w1, w2, a[1] * w0 + a[2] * w1,
-                  a[3] * w0 + a[4] * w1 + a[5] * w2, w0 - w1, w1 - w2))
-    ksq = g._ksq
-    base = a[0]**2 * p0 + c1 + c2
-    f_density = (base + 7.0 / 8.0 * d1 + 5.0 / 24.0 * d2
-                 + nu * dt * ksq * (7.0 / 4.0 * p0 + 15.0 / 32.0 * p1
-                                    + 13.0 / 64.0 * p2))
-    g1_density = ksq * (base + 5.0 / 6.0 * d1 + 1.0 / 6.0 * d2
-                        + nu * dt * ksq * (37.0 / 24.0 * p0
-                                           + 17.0 / 48.0 * p1
-                                           + 17.0 / 96.0 * p2))
-    scale = g.length**2
-    return (scale * float(f_density.sum(axis=0) @ g._weight),
-            scale * float(g1_density.sum(axis=0) @ g._weight))
+    hist = list(history)[:3]
+    if not hist:
+        raise ValueError("history must contain at least one field")
+    hist += hist[-1:] * (3 - len(hist))  # pre-start levels repeat the oldest
+    grid = hist[0].grid if grid is None else grid
+    if any(f.grid != grid for f in hist):
+        raise GridMismatchError(f"history levels on {[f.grid for f in hist]}"
+                                f", expected all on {grid}")
+    gram = np.empty((3, 3, 3))  # [m, i, j] = Re<w_i, w_j>_m
+    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        a, b = hist[i], hist[j]
+        gram[:, i, j] = gram[:, j, i] = (
+            [_norm_sq(a, m) for m in range(3)] if a is b
+            else _moments(grid, _half_spectrum(a), _half_spectrum(b)))
+    q0, e0, q1, e1 = _quadratic_forms(tuple(coeffs.alpha))
+    diag = np.diagonal(gram, axis1=1, axis2=2)  # [m, i] = |w_i|_m^2
+    return (float(np.vdot(q0, gram[0]) + nu * dt * (e0 @ diag[1])),
+            float(np.vdot(q1, gram[1]) + nu * dt * (e1 @ diag[2])))
 
 
 def stability_F(history, nu: float, dt: float,
@@ -355,7 +362,8 @@ def stability_F(history, nu: float, dt: float,
 
     history is newest-first; fewer than three levels are padded with the
     oldest one (the difference terms then vanish). Norms are evaluated
-    spectrally (Parseval-equivalent to the physical quadrature).
+    spectrally (Parseval-equivalent to the physical quadrature). A level on
+    another grid than the first raises GridMismatchError.
     """
     if coeffs is None:
         coeffs = get_telescope_coefficients()
@@ -399,23 +407,23 @@ def make_record(state: FlowState, history=None, nu: float = 0.0,
     history carries the vorticity levels (newest-first) for the stability
     functionals; when omitted only the current vorticity is used. Every
     column but max_omega comes from the spectral views by Parseval, so the
-    flow states and history that run() hands out cost no transform.
+    flow states and history that run() hands out cost no transform, and
+    norms the step or an earlier record took are read from the fields.
     """
     if history is None:
         history = [state.omega]
     if coeffs is None:
         coeffs = get_telescope_coefficients()
-    w = state.omega
-    ens = enstrophy(state)
-    F, G1 = _functionals(history, nu, dt, coeffs)
+    F, G1 = _functionals(history, nu, dt, coeffs, state.grid)
+    p = state.omega.physical
     return SeriesRecord(
         t=state.time,
-        l2_omega=float(np.sqrt(2.0 * ens)),
-        h1_omega=hm_norm(w, 1),
+        l2_omega=hm_norm(state.omega, 0),
+        h1_omega=hm_norm(state.omega, 1),
         energy=energy(state),
-        enstrophy=ens,
+        enstrophy=enstrophy(state),
         div_error=div_error(state),
-        max_omega=float(np.max(np.abs(w.physical))),
+        max_omega=float(max(p.max(), -p.min())),
         F=F,
         G1=G1,
     )

@@ -42,7 +42,7 @@ from .diagnostics import (SeriesRecord, get_telescope_coefficients,
                           make_record)
 from .errors import BlowUpError, ConfigError, MeanViolationError
 from .fields import MEAN_TOLERANCE, FlowState, _assemble_state, _project_mean
-from .spectral import Grid, ScalarField, _half_norm_sq, _half_spectrum, mean
+from .spectral import Grid, ScalarField, _half_spectrum, _norm_sq, mean
 
 __all__ = [
     "SchemeId",
@@ -294,14 +294,14 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
             f"{cfg.scheme.value} startup needs {need - 1} steps but the run "
             f"has only {n_steps}")
     coeffs = get_telescope_coefficients()
-    grid = omega0.grid
 
     records = []
     last_record = None
     omegas = ()  # newest-first vorticity fields of the stored levels
     t0 = time.perf_counter()
-    for k, levels, flow in _march(omega0, cfg, forcing):
-        w_l2 = float(np.sqrt(_half_norm_sq(grid, levels[0][0])))
+    for k, _, flow in _march(omega0, cfg, forcing):
+        # the convection's divergence precondition cached ||w||_2 on omega
+        w_l2 = float(np.sqrt(_norm_sq(flow.omega)))
         if k == 0:
             ref_l2 = w_l2
         _check_blowup(w_l2, ref_l2, k, last_record)

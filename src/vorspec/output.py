@@ -18,7 +18,6 @@ from typing import IO
 import numpy as np
 
 from .diagnostics import SeriesRecord
-from .errors import GridMismatchError
 from .spectral import ScalarField
 
 __all__ = [
@@ -31,6 +30,9 @@ __all__ = [
 ]
 
 RAW_MAGIC = b"VORSPEC1"
+
+# one CSV row: format_float's %.17g in every slot
+_ROW = ",".join(["%.17g"] * len(SeriesRecord.FIELDS)) + "\n"
 
 
 def format_float(x: float) -> str:
@@ -51,8 +53,7 @@ class CsvSeriesWriter:
         self.stream.write(",".join(SeriesRecord.FIELDS) + "\n")
 
     def write(self, record: SeriesRecord):
-        self.stream.write(",".join(format_float(v) for v in record.values()))
-        self.stream.write("\n")
+        self.stream.write(_ROW % record.values())
         self.stream.flush()
 
 

@@ -60,7 +60,7 @@ class Grid:
 
     __slots__ = ("n", "length", "spacing", "wavenumbers", "_d1x", "_d1y",
                  "_ksq", "_inv_ksq", "_weight", "_neg_rows", "_nodes",
-                 "_dealias_mask")
+                 "_dealias_mask", "_parseval")
 
     def __init__(self, n: int, length: float = 1.0):
         if not isinstance(n, (int, np.integer)) or n < 1:
@@ -102,6 +102,7 @@ class Grid:
             arr.setflags(write=False)
         self._nodes = None
         self._dealias_mask = None
+        self._parseval = None
 
     def nodes(self):
         """Node coordinate arrays (X, Y), each of shape (n, n), ij indexing."""
@@ -147,13 +148,14 @@ class ScalarField:
     view is held as the half spectrum (rfft2 layout) of the finite Fourier
     expansion (forward transform divided by n^2). Whichever view was not supplied is computed
     on first access and cached, so a field is value-immutable: all arrays
-    are exposed read-only and arithmetic returns new fields. The spectral
+    are exposed read-only and arithmetic returns new fields. Its squared
+    Parseval seminorms are cached beside the views once taken. The spectral
     property expands the full (n, n) coefficients on each access; a full
     spectrum F given to the constructor keeps its Hermitian part
     (F + conj F[-k, -l]) / 2, the spectrum of ifft2(F).real.
     """
 
-    __slots__ = ("grid", "_phys", "_half")
+    __slots__ = ("grid", "_phys", "_half", "_norms")
 
     def __init__(self, grid: Grid, physical=None, spectral=None):
         if physical is None and spectral is None:
@@ -161,6 +163,7 @@ class ScalarField:
         self.grid = grid
         self._phys = None
         self._half = None
+        self._norms = {}
         shape = (grid.n, grid.n)
         if physical is not None:
             p = np.array(physical, dtype=np.float64, copy=True)
@@ -203,6 +206,7 @@ class ScalarField:
             half.setflags(write=False)
         f._phys = phys
         f._half = half
+        f._norms = {}
         if phys is None and half is None:
             raise ValueError("need a physical or a spectral array")
         return f
@@ -386,13 +390,36 @@ def _full_spectrum(grid: Grid, half):
     return full
 
 
-def _half_norm_sq(grid: Grid, half, m: int = 0) -> float:
-    """Squared discrete H^m seminorm (L2 for m = 0) from a half spectrum.
+def _half_norm_sq(grid: Grid, half) -> float:
+    """Squared discrete L2 norm from a half spectrum: every column counted
+    twice, less once those with no Hermitian partner (l = 0; N/2 at even N)."""
+    s = 2.0 * np.vdot(half, half).real - np.vdot(half[:, 0], half[:, 0]).real
+    if grid.n % 2 == 0:
+        s -= np.vdot(half[:, -1], half[:, -1]).real
+    return grid.length**2 * float(s)
 
-    Parseval with the full second-order symbol to the power m, counting
-    each retained column with its Hermitian partner.
-    """
-    power = half.real**2 + half.imag**2
-    if m:
-        power *= grid._ksq**m
-    return grid.length**2 * float(power.sum(axis=0) @ grid._weight)
+
+def _moments(grid: Grid, a, b):
+    """Re<a, b> in L2, H1 and H2 of two half spectra: one pass of the grid's
+    Parseval table, rows L^2 w_l ksq^m over the interleaved float view."""
+    if grid._parseval is None:
+        powers = grid._ksq ** np.arange(3.0)[:, None, None]
+        rows = grid.length**2 * grid._weight * powers
+        grid._parseval = np.repeat(rows, 2, axis=-1).reshape(3, -1)
+    prod = (np.ascontiguousarray(a).view(np.float64)
+            * np.ascontiguousarray(b).view(np.float64))
+    return grid._parseval @ prod.ravel()
+
+
+def _norm_sq(field: ScalarField, m: int = 0) -> float:
+    """Squared discrete H^m seminorm (L2 for m = 0) of a field by Parseval,
+    cached on the field. H1 and H2 come together from one _moments pass;
+    L2, which every step takes, from the cheaper _half_norm_sq."""
+    norms = field._norms
+    if m not in norms:
+        g, h = field.grid, _half_spectrum(field)
+        if m in (1, 2):
+            _, norms[1], norms[2] = _moments(g, h, h).tolist()
+        else:
+            norms[m] = _half_norm_sq(g, h if m == 0 else h * g._ksq**(m / 2))
+    return norms[m]

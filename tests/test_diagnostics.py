@@ -5,6 +5,7 @@ import pytest
 
 from vorspec import (
     Grid,
+    GridMismatchError,
     ScalarField,
     SeriesRecord,
     TaylorGreenSpec,
@@ -211,3 +212,91 @@ def test_make_record_values(coeffs):
     assert rec.max_omega == pytest.approx(4 * np.pi, rel=1e-12)
     assert rec.values() == tuple(getattr(rec, k) for k in SeriesRecord.FIELDS)
     assert rec.F > 0 and rec.G1 > 0
+
+
+def reference_functionals(history, nu, dt, coeffs):
+    """(F, G1) by the per-mode density formula on half spectra, kept here
+    as the reference for the Gram-matrix form in the package."""
+    from vorspec.spectral import _half_spectrum
+
+    a = coeffs.alpha
+    hist = list(history) + [history[-1]] * (3 - len(history))
+    g = hist[0].grid
+    w0, w1, w2 = (_half_spectrum(f) for f in hist)
+    p0, p1, p2, c1, c2, d1, d2 = (
+        x.real**2 + x.imag**2
+        for x in (w0, w1, w2, a[1] * w0 + a[2] * w1,
+                  a[3] * w0 + a[4] * w1 + a[5] * w2, w0 - w1, w1 - w2))
+    ksq = g._ksq
+    base = a[0]**2 * p0 + c1 + c2
+    f_density = (base + 7.0 / 8.0 * d1 + 5.0 / 24.0 * d2
+                 + nu * dt * ksq * (7.0 / 4.0 * p0 + 15.0 / 32.0 * p1
+                                    + 13.0 / 64.0 * p2))
+    g1_density = ksq * (base + 5.0 / 6.0 * d1 + 1.0 / 6.0 * d2
+                        + nu * dt * ksq * (37.0 / 24.0 * p0
+                                           + 17.0 / 48.0 * p1
+                                           + 17.0 / 96.0 * p2))
+    scale = g.length**2
+    return (scale * float(f_density.sum(axis=0) @ g._weight),
+            scale * float(g1_density.sum(axis=0) @ g._weight))
+
+
+def _histories(g, noise):
+    """Random histories, then nearly equal ones (w, w + e d, w + 2 e d)."""
+    yield [noise(g, nyquist_free=False) for _ in range(3)]
+    w, d = noise(g, nyquist_free=False), noise(g, nyquist_free=False)
+    for eps in (1e-3, 1e-6, 1e-9):
+        yield [w, w + eps * d, w + 2.0 * eps * d]
+
+
+@pytest.mark.parametrize("n", [15, 16, 64])
+def test_functionals_match_per_mode_reference(coeffs, noise, n):
+    nu, dt = 0.02, 0.01
+    for length in (1.0, 2.0):
+        for hist in _histories(Grid(n, length=length), noise):
+            for levels in (hist, hist[:2], hist[:1]):
+                want = reference_functionals(levels, nu, dt, coeffs)
+                got = (stability_F(levels, nu=nu, dt=dt, coeffs=coeffs),
+                       stability_G1(levels, nu=nu, dt=dt, coeffs=coeffs))
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_make_record_columns_match_standalone_functions(coeffs, noise, n):
+    g = Grid(n, length=2.0)
+    hist = [noise(g, nyquist_free=False) for _ in range(3)]
+    st = make_state(hist[0], 0.5)
+    hist[0] = st.omega
+    nu, dt = 1e-3, 0.01
+    rec = make_record(st, history=hist, nu=nu, dt=dt, coeffs=coeffs)
+    # the norms are taken of copies, so none comes from a cache the record
+    # filled; div_error is roundoff of this very state and caches nothing
+    fresh = [ScalarField.from_physical(g, f.physical) for f in hist]
+    fst = make_state(fresh[0], 0.5)
+    want = dict(l2_omega=l2_norm(fst.omega), h1_omega=hm_norm(fst.omega, 1),
+                energy=energy(fst), enstrophy=enstrophy(fst),
+                div_error=div_error(st),
+                F=stability_F(fresh, nu=nu, dt=dt, coeffs=coeffs),
+                G1=stability_G1(fresh, nu=nu, dt=dt, coeffs=coeffs),
+                max_omega=float(np.max(np.abs(st.omega.physical))))
+    assert (rec.F, rec.G1) == pytest.approx(
+        reference_functionals(hist, nu, dt, coeffs), rel=1e-13, abs=0.0)
+    for name, value in want.items():
+        assert getattr(rec, name) == pytest.approx(value, rel=1e-13,
+                                                   abs=1e-300), name
+    assert rec.t == 0.5
+
+
+@pytest.mark.parametrize("other", [Grid(16, length=2.0), Grid(8)])
+def test_functionals_reject_levels_on_another_grid(coeffs, noise, other):
+    g = Grid(16)
+    a, c = noise(g), noise(g)
+    b = noise(other)
+    for fn in (stability_F, stability_G1):
+        with pytest.raises(GridMismatchError):
+            fn([a, b, c], nu=1e-3, dt=1e-3, coeffs=coeffs)
+    with pytest.raises(GridMismatchError):
+        make_record(make_state(a, 0.0), history=[a, c, b], nu=1e-3, dt=1e-3)
+    # the state's grid counts, not only the first level's
+    with pytest.raises(GridMismatchError):
+        make_record(make_state(a, 0.0), history=[b], nu=1e-3, dt=1e-3)

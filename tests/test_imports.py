@@ -1,0 +1,41 @@
+"""Static hygiene of the package sources."""
+
+import ast
+from pathlib import Path
+
+PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "vorspec"
+
+
+def unused_imports(source: str):
+    """Names a module imports but never reads (from __future__ aside)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_import_scan_sees_plain_and_from_imports():
+    source = ("from __future__ import annotations\n"
+              "import os\nimport numpy as np\nfrom typing import IO, Optional\n"
+              "from .errors import A, B as C\n"
+              "def f(x: Optional[int]) -> IO:\n    return np.abs(C)\n")
+    assert unused_imports(source) == [(2, "os"), (5, "A")]
+
+
+def test_no_unused_imports_in_package():
+    paths = [p for p in sorted(PACKAGE_DIR.glob("*.py"))
+             if p.name != "__init__.py"]
+    assert len(paths) >= 10, f"package sources not found in {PACKAGE_DIR}"
+    found = []
+    for path in paths:
+        found += [f"{path.name}:{line} {name}" for line, name
+                  in unused_imports(path.read_text(encoding="utf-8"))]
+    assert found == []

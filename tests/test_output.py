@@ -128,3 +128,16 @@ def test_read_raw_rejects_truncation():
     data = buf.getvalue()[:-8]
     with pytest.raises(ValueError):
         read_raw(io.BytesIO(data))
+
+
+def test_csv_row_bytes_match_format_float():
+    values = (0.1, 1.0 / 3.0, -0.0, 5e-324, 1e308, np.inf, np.nan,
+              np.float64(-2.5e-17), 7.0)
+    record = SeriesRecord(*values)
+    buf = io.StringIO()
+    CsvSeriesWriter(buf).write(record)
+    row = buf.getvalue().split("\n", 1)[1]
+    assert row == ",".join(format_float(v) for v in values) + "\n"
+    assert row == ("0.10000000000000001,0.33333333333333331,-0,"
+                   "4.9406564584124654e-324,1e+308,inf,nan,"
+                   "-2.4999999999999999e-17,7\n")

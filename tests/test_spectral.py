@@ -239,3 +239,35 @@ def test_mean_and_l2_norm():
 def test_vector_field_requires_matching_grids(noise):
     with pytest.raises(GridMismatchError):
         VectorField(noise(Grid(8)), noise(Grid(16)))
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_cached_norms_match_uncached_parseval_sums(noise, n):
+    from vorspec import make_state
+    from vorspec.spectral import _norm_sq
+
+    g = Grid(n, length=2.0)
+    f = noise(g, nyquist_free=False)
+    h = noise(g, nyquist_free=False)
+    k = 2.0 * np.pi / g.length * g.wavenumbers
+    ksq = k[:, None] ** 2 + k[None, :] ** 2
+    for a in (f, h):  # fill the operands' caches before deriving fields
+        assert [_norm_sq(a, m) for m in range(3)] == list(a._norms.values())
+    fields = {
+        "from_physical": ScalarField.from_physical(g, f.physical),
+        "fortran_order": ScalarField.from_physical(
+            g, np.asfortranarray(f.physical)),
+        "from_spectral": ScalarField.from_spectral(g, f.spectral),
+        "sum": f + h, "difference": f - h, "scaled": 2.5 * f,
+        "divided": f / 3.0, "negated": -h,
+        "make_state": make_state(h, 0.0).omega,
+    }
+    for name, field in fields.items():
+        power = np.abs(np.fft.fft2(field.physical) / n**2) ** 2
+        for m in range(3):
+            want = g.length**2 * float(np.sum(power * ksq**m))
+            got = _norm_sq(field, m)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), (name, m)
+            assert _norm_sq(field, m) is got, (name, m)  # read from the cache
+        l2sq = g.spacing**2 * float(np.sum(field.physical ** 2))
+        assert _norm_sq(field) == pytest.approx(l2sq, rel=1e-13), name
