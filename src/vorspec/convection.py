@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotDivergenceFreeError
-from .spectral import (ScalarField, VectorField, _half_norm_sq,
+from .spectral import (ScalarField, VectorField, _div_norm_sq,
                        _half_spectrum, _half_to_physical, _norm_sq)
 
 __all__ = ["DIV_FREE_TOLERANCE", "skew_convection"]
@@ -34,33 +34,47 @@ __all__ = ["DIV_FREE_TOLERANCE", "skew_convection"]
 DIV_FREE_TOLERANCE = 1e-8
 
 
-def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool):
-    """Half spectrum (rfft2 layout) of N(u, omega).
+def _scratch(grid):
+    """Two complex half-spectrum arrays for the kernel's temporaries."""
+    shape = (grid.n, grid.n // 2 + 1)
+    return np.empty(shape, complex), np.empty(shape, complex)
+
+
+def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool,
+                 scratch):
+    """Half spectrum (rfft2 layout) of N(u, omega), a fresh array.
 
     Checks the divergence precondition by Parseval on the half spectra
     before any transform, leaving ||omega||_2 cached on omega for run()'s
-    blow-up guard, then reads the fields' physical views.
+    blow-up guard and ||div u||_2 on vel for the records, then reads the
+    fields' physical views. Every temporary spectrum is written into the
+    two arrays of scratch (see _scratch), which a caller may reuse.
     """
     grid = omega.grid
-    w_h, u_h, v_h = (_half_spectrum(f) for f in (omega, vel.x, vel.y))
+    w_h = _half_spectrum(omega)
     w_l2 = np.sqrt(_norm_sq(omega))
-    d = np.sqrt(_half_norm_sq(grid, u_h * grid._d1x + v_h * grid._d1y))
+    d = np.sqrt(_div_norm_sq(vel, scratch))
     if d > DIV_FREE_TOLERANCE * w_l2:
         raise NotDivergenceFreeError(
             f"velocity is not discretely divergence-free: ||div u||_2 = "
             f"{d:.6e} exceeds {DIV_FREE_TOLERANCE:.1e} * ||omega||_2 = "
             f"{DIV_FREE_TOLERANCE * w_l2:.6e}")
     w, u, v = omega.physical, vel.x.physical, vel.y.physical
-
-    def forward(p):
-        return np.fft.rfft2(p, norm="forward")
+    a, b = scratch
 
     # advective half: products pointwise, derivatives spectral
-    adv = forward(u * _half_to_physical(grid, w_h * grid._d1x)
-                  + v * _half_to_physical(grid, w_h * grid._d1y))
-    adv[0, 0] = 0.0  # mean correction applies to the advective half only
+    # irfft2 ignores out= (numpy 2.4): the products reuse the arrays it returns
+    adv = _half_to_physical(grid, np.multiply(w_h, grid._d1x, out=a))
+    p = _half_to_physical(grid, np.multiply(w_h, grid._d1y, out=b))
+    np.multiply(u, adv, out=adv)
+    adv += np.multiply(v, p, out=p)
+    result = np.fft.rfft2(adv, norm="forward")
+    result[0, 0] = 0.0  # mean correction applies to the advective half only
     # flux half: transform the pointwise fluxes, differentiate spectrally
-    result = adv + forward(u * w) * grid._d1x + forward(v * w) * grid._d1y
+    for f, d1 in ((u, grid._d1x), (v, grid._d1y)):
+        flux = np.fft.rfft2(np.multiply(f, w, out=p), norm="forward", out=a)
+        flux *= d1
+        result += flux
     if dealias:
         result *= grid.dealias_mask[:, :grid.n // 2 + 1]
     return result
@@ -92,5 +106,5 @@ def skew_convection(vel: VectorField, omega: ScalarField,
     NotDivergenceFreeError
         If the velocity fails the precondition check.
     """
-    return ScalarField._adopt(omega.grid, half=_skew_kernel(vel, omega,
-                                                            dealias))
+    return ScalarField._adopt(omega.grid, half=_skew_kernel(
+        vel, omega, dealias, _scratch(omega.grid)))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import GridMismatchError, TelescopeSolveError
 from .fields import FlowState
-from .spectral import (ScalarField, _half_norm_sq, _half_spectrum, _moments,
+from .spectral import (ScalarField, _div_norm_sq, _half_spectrum, _moments,
                        _norm_sq, l2_norm)
 
 __all__ = [
@@ -298,11 +298,9 @@ def enstrophy(state: FlowState) -> float:
 
 
 def div_error(state: FlowState) -> float:
-    """L2 norm of the discrete velocity divergence."""
-    g = state.grid
-    div = (_half_spectrum(state.vel.x) * g._d1x
-           + _half_spectrum(state.vel.y) * g._d1y)
-    return float(np.sqrt(_half_norm_sq(g, div)))
+    """L2 norm of the discrete velocity divergence; a state from run()
+    carries it from the convection's divergence precondition."""
+    return float(np.sqrt(_div_norm_sq(state.vel)))
 
 
 @lru_cache(maxsize=4)

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convection import _skew_kernel
+from .convection import _scratch, _skew_kernel
 from .diagnostics import (SeriesRecord, get_telescope_coefficients,
                           make_record)
 from .errors import BlowUpError, ConfigError, MeanViolationError
@@ -147,13 +147,15 @@ class RunSummary:
     records: list = field(default_factory=list)
 
 
-def _helmholtz(grid: Grid, rhs_h, a: float, dt: float, nu: float):
-    """Per-mode division of a half spectrum by a/dt + nu ksq."""
+def _helmholtz(rhs_h, denominator):
+    """Per-mode division of a half spectrum by a/dt + nu ksq, into a fresh
+    array. A division, not a multiply by the reciprocal: that would round
+    each mode alike at every step (see _WEIGHTS)."""
     m = rhs_h[0, 0].real
     if abs(m) > MEAN_TOLERANCE:
         raise MeanViolationError(
             f"helmholtz right-hand side has mean {m:.6e} beyond tolerance")
-    return rhs_h / (a / dt + nu * grid._ksq)
+    return rhs_h / denominator
 
 
 def helmholtz_solve(rhs: ScalarField, a: float, dt: float,
@@ -167,8 +169,8 @@ def helmholtz_solve(rhs: ScalarField, a: float, dt: float,
     if not (a > 0 and dt > 0):
         raise ValueError("helmholtz_solve needs a > 0 and dt > 0")
     g = rhs.grid
-    return ScalarField._adopt(g, half=_helmholtz(g, _half_spectrum(rhs), a,
-                                                 dt, nu))
+    return ScalarField._adopt(g, half=_helmholtz(
+        _half_spectrum(rhs), float(a) / dt + nu * g._ksq))
 
 
 def _forcing_half(forcing, t: float, grid: Grid):
@@ -185,30 +187,32 @@ def _forcing_half(forcing, t: float, grid: Grid):
     return _half_spectrum(f)
 
 
-def _convect(grid: Grid, w_h, t: float, dealias: bool):
+def _convect(grid: Grid, w_h, t: float, dealias: bool, scratch):
     """Flow state at time t of a mean-free vorticity half spectrum and the
     half spectrum of its convection N: eight real transforms in all."""
     flow = _assemble_state(grid, w_h, t)
-    return flow, _skew_kernel(flow.vel, flow.omega, dealias)
+    return flow, _skew_kernel(flow.vel, flow.omega, dealias, scratch)
 
 
 def _implicit_omega(grid: Grid, levels, scheme: SchemeId, dt: float,
-                    nu: float, forcing, t: float):
+                    forcing, t: float, denominator, scratch):
     """Vorticity half spectrum at time t by one step of an IMEX scheme.
 
     levels are newest-first (omega, N) half-spectrum pairs; levels beyond
-    the scheme's depth are ignored.
+    the scheme's depth are ignored. The right-hand side is summed in the
+    two scratch arrays; denominator is the scheme's a/dt + nu ksq.
     """
-    a, w_weights, n_weights = _WEIGHTS[scheme]
+    _, w_weights, n_weights = _WEIGHTS[scheme]
     f_h = _forcing_half(forcing, t, grid)
-    rhs = np.zeros_like(levels[0][0])
+    rhs, tmp = scratch
+    rhs.fill(0.0)
     for c, (w, _) in zip(w_weights, levels):
-        rhs += c.numerator / (c.denominator * dt) * w
+        rhs += np.multiply(c.numerator / (c.denominator * dt), w, out=tmp)
     for c, (_, conv) in zip(n_weights, levels):
-        rhs += c * conv
+        rhs += np.multiply(c, conv, out=tmp)
     if f_h is not None:
         rhs += f_h
-    return _project_mean(_helmholtz(grid, rhs, float(a), dt, nu))
+    return _project_mean(_helmholtz(rhs, denominator))
 
 
 def _explicit_rhs(grid: Grid, w_h, conv_h, nu: float, forcing, t: float):
@@ -218,13 +222,13 @@ def _explicit_rhs(grid: Grid, w_h, conv_h, nu: float, forcing, t: float):
     return rhs if f_h is None else rhs + f_h
 
 
-def _midpoint_omega(grid: Grid, level, cfg: RunConfig, forcing):
+def _midpoint_omega(grid: Grid, level, cfg: RunConfig, forcing, scratch):
     """Vorticity half spectrum of step 1 by one explicit-midpoint step."""
     w0, conv0 = level
     dt, nu = cfg.dt, cfg.nu
     k1 = _explicit_rhs(grid, w0, conv0, nu, forcing, 0.0)
     w_mid = _project_mean(w0 + 0.5 * dt * k1)
-    _, conv_mid = _convect(grid, w_mid, 0.5 * dt, cfg.dealias)
+    _, conv_mid = _convect(grid, w_mid, 0.5 * dt, cfg.dealias, scratch)
     k2 = _explicit_rhs(grid, w_mid, conv_mid, nu, forcing, 0.5 * dt)
     return _project_mean(w0 + dt * k2)
 
@@ -235,7 +239,9 @@ def _march(omega0: ScalarField, cfg: RunConfig, forcing):
     levels holds up to three newest-first (omega, N) half-spectrum pairs
     ending at step k; flow is the FlowState of step k. A multistep scheme
     takes step 1 by the explicit midpoint rule and, for three levels, step
-    2 by the two-level scheme.
+    2 by the two-level scheme. Two scratch arrays, built once per run with
+    each scheme's Helmholtz denominator, hold every temporary of a step;
+    only the arrays handed out in levels and flow are allocated afresh.
     """
     grid = omega0.grid
     if grid.n != cfg.n:
@@ -243,15 +249,19 @@ def _march(omega0: ScalarField, cfg: RunConfig, forcing):
             f"initial data on {grid} does not match config (n={cfg.n})")
     need = cfg.scheme.history_required
     w_h = _project_mean(np.array(_half_spectrum(omega0)))
+    scratch = _scratch(grid)
+    # a/dt + nu ksq of the run's scheme and of BDF2, which takes step 2
+    denominators = {s: float(_WEIGHTS[s][0]) / cfg.dt + cfg.nu * grid._ksq
+                    for s in {cfg.scheme, SchemeId.IMEX_BDF2}}
     levels = ()
     for k in itertools.count():
         if k == 1 and need > 1:
-            w_h = _midpoint_omega(grid, levels[0], cfg, forcing)
+            w_h = _midpoint_omega(grid, levels[0], cfg, forcing, scratch)
         elif k > 0:
             scheme = cfg.scheme if len(levels) >= need else SchemeId.IMEX_BDF2
-            w_h = _implicit_omega(grid, levels, scheme, cfg.dt, cfg.nu,
-                                  forcing, k * cfg.dt)
-        flow, conv_h = _convect(grid, w_h, k * cfg.dt, cfg.dealias)
+            w_h = _implicit_omega(grid, levels, scheme, cfg.dt, forcing,
+                                  k * cfg.dt, denominators[scheme], scratch)
+        flow, conv_h = _convect(grid, w_h, k * cfg.dt, cfg.dealias, scratch)
         levels = ((w_h, conv_h),) + levels[:2]
         yield k, levels, flow
 

@@ -271,14 +271,16 @@ class ScalarField:
 
 
 class VectorField:
-    """Pair of scalar components (x_comp, y_comp) on one shared grid."""
+    """Pair of scalar components (x_comp, y_comp) on one shared grid; the
+    squared L2 norm of its discrete divergence is cached once taken."""
 
-    __slots__ = ("x", "y")
+    __slots__ = ("x", "y", "_div_sq")
 
     def __init__(self, x_comp: ScalarField, y_comp: ScalarField):
         _require_same_grid(x_comp, y_comp)
         self.x = x_comp
         self.y = y_comp
+        self._div_sq = None
 
     @property
     def grid(self):
@@ -336,8 +338,9 @@ def perp_gradient(field: ScalarField) -> VectorField:
     """Rotated gradient (D_y psi, -D_x psi); discretely divergence-free."""
     g = field.grid
     s = _half_spectrum(field)
+    v = s * g._d1x
     return VectorField(ScalarField._adopt(g, half=s * g._d1y),
-                       ScalarField._adopt(g, half=-(s * g._d1x)))
+                       ScalarField._adopt(g, half=np.negative(v, out=v)))
 
 
 def inner_product(f: ScalarField, g: ScalarField) -> float:
@@ -397,6 +400,17 @@ def _half_norm_sq(grid: Grid, half) -> float:
     if grid.n % 2 == 0:
         s -= np.vdot(half[:, -1], half[:, -1]).real
     return grid.length**2 * float(s)
+
+
+def _div_norm_sq(vel: VectorField, scratch=(None, None)) -> float:
+    """Squared discrete L2 norm of D_x u + D_y v by Parseval, cached on vel;
+    the two half spectra it forms go into scratch arrays when given."""
+    if vel._div_sq is None:
+        g = vel.grid
+        div = np.multiply(_half_spectrum(vel.x), g._d1x, out=scratch[0])
+        div += np.multiply(_half_spectrum(vel.y), g._d1y, out=scratch[1])
+        vel._div_sq = _half_norm_sq(g, div)
+    return vel._div_sq
 
 
 def _moments(grid: Grid, a, b):

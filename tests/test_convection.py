@@ -15,6 +15,7 @@ from vorspec import (
     taylor_green_exact,
     velocity_from_stream,
 )
+from vorspec.convection import _scratch, _skew_kernel
 
 
 def reference_skew_convection(vel, omega, dealias=False):
@@ -134,3 +135,24 @@ def test_dealias_keeps_skew_symmetry_on_truncated_fields(divfree, noise):
     conv = skew_convection(vel, omega, dealias=True)
     scale = max(1.0, l2_norm(omega) ** 2)
     assert abs(inner_product(omega, conv)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("dealias", [False, True])
+def test_kernel_reuses_scratch_without_stale_reads(noise, n, dealias):
+    """Two evaluations through one scratch pair, prefilled with NaN, give
+    bit for bit what fresh scratch gives, and the first result survives
+    the second evaluation."""
+    g = Grid(n)
+    psis = [noise(g, nyquist_free=False) for _ in range(2)]
+    omegas = [noise(g, nyquist_free=False) for _ in range(2)]
+    scratch = _scratch(g)
+    for a in scratch:
+        a.fill(np.nan)
+    got = [_skew_kernel(velocity_from_stream(psi), w, dealias, scratch)
+           for psi, w in zip(psis, omegas)]
+    for psi, w, res in zip(psis, omegas, got):
+        vel = velocity_from_stream(psi)
+        assert np.array_equal(res, _skew_kernel(vel, w, dealias, _scratch(g)))
+        want = reference_skew_convection(vel, w, dealias)[:, :n // 2 + 1]
+        assert np.max(np.abs(res - want)) <= 1e-12 * np.max(np.abs(want))

@@ -6,6 +6,7 @@ import pytest
 from vorspec import (
     Grid,
     GridMismatchError,
+    RunConfig,
     ScalarField,
     SeriesRecord,
     TaylorGreenSpec,
@@ -18,6 +19,7 @@ from vorspec import (
     l2_norm,
     make_record,
     make_state,
+    run,
     solve_telescope_coefficients,
     stability_F,
     stability_G1,
@@ -300,3 +302,28 @@ def test_functionals_reject_levels_on_another_grid(coeffs, noise, other):
     # the state's grid counts, not only the first level's
     with pytest.raises(GridMismatchError):
         make_record(make_state(a, 0.0), history=[b], nu=1e-3, dt=1e-3)
+
+
+def test_div_error_reads_the_norm_the_step_took(noise):
+    """div_error is the Parseval norm of the divergence spectrum bit for
+    bit, on a fresh state and on the flow states of run(), where the
+    convection's precondition left it cached on the velocity."""
+    from vorspec.spectral import _half_norm_sq, _half_spectrum
+
+    def formula(st):
+        g = st.grid
+        div = (_half_spectrum(st.vel.x) * g._d1x
+               + _half_spectrum(st.vel.y) * g._d1y)
+        return float(np.sqrt(_half_norm_sq(g, div)))
+
+    g = Grid(16)
+    st = make_state(noise(g, nyquist_free=False), 0.0)
+    assert st.vel._div_sq is None
+    assert div_error(st) == formula(st)
+    flows = []
+    run(noise(g), RunConfig(n=16, dt=1e-3, nu=1e-3, t_final=0.005),
+        observer=lambda k, flow: flows.append(flow))
+    assert len(flows) == 6
+    for flow in flows:
+        assert flow.vel._div_sq is not None
+        assert div_error(flow) == formula(flow)

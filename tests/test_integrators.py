@@ -323,3 +323,26 @@ def test_no_complex_transform_anywhere(monkeypatch):
     assert v.run_checks()
     summary = run(tg_omega0(n=16), tg_config(n=16, dt=0.01, t_final=0.05))
     assert summary.steps == 5
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+def test_handed_out_arrays_stay_put(noise, dealias):
+    """A step writes its temporaries into scratch the run reuses, never into
+    an array it hands out: every flow state an observer keeps still holds,
+    after the run, the values it held when observed (BDF3, startup ladder
+    included, with active convection)."""
+    g = Grid(16)
+    kept = []
+
+    def observe(k, flow):
+        fields = (flow.omega, flow.psi, flow.vel.x, flow.vel.y)
+        kept.append((fields, [(f.spectral, f.physical.copy())
+                              for f in fields]))
+
+    run(noise(g), RunConfig(n=16, dt=1e-3, nu=NU, t_final=0.01,
+                            dealias=dealias), observer=observe)
+    assert len(kept) == 11
+    for fields, copies in kept:
+        for f, (spectral, physical) in zip(fields, copies):
+            assert np.array_equal(f.spectral, spectral)
+            assert np.array_equal(f.physical, physical)
