@@ -14,9 +14,9 @@ This orthogonality is what controls aliasing in the analyzed scheme; no
 dealiasing is applied by default.
 
 One evaluation costs eight real transforms on half spectra (rfft2
-layout): five inverse (omega, u, v, D_x omega, D_y omega) and three forward
-(the advective product and the two fluxes). The physical omega, u and v
-stay cached on their fields, where the time loop's records reuse them.
+layout) in two numpy calls: five inverse (D_x omega, D_y omega, omega, u,
+v) and three forward (the advective product and the two fluxes). The
+physical omega, u and v stay cached on their fields for the records.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NotDivergenceFreeError
 from .spectral import (ScalarField, VectorField, _div_norm_sq,
-                       _half_spectrum, _half_to_physical, _norm_sq)
+                       _half_spectrum, _norm_sq)
 
 __all__ = ["DIV_FREE_TOLERANCE", "skew_convection"]
 
@@ -35,9 +35,10 @@ DIV_FREE_TOLERANCE = 1e-8
 
 
 def _scratch(grid):
-    """Two complex half-spectrum arrays for the kernel's temporaries."""
-    shape = (grid.n, grid.n // 2 + 1)
-    return np.empty(shape, complex), np.empty(shape, complex)
+    """The kernel's two stacks: five complex half spectra (rfft2 layout)
+    and five real physical planes."""
+    n = grid.n
+    return np.empty((5, n, n // 2 + 1), complex), np.empty((5, n, n))
 
 
 def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool,
@@ -46,35 +47,45 @@ def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool,
 
     Checks the divergence precondition by Parseval on the half spectra
     before any transform, leaving ||omega||_2 cached on omega for run()'s
-    blow-up guard and ||div u||_2 on vel for the records, then reads the
-    fields' physical views. Every temporary spectrum is written into the
-    two arrays of scratch (see _scratch), which a caller may reuse.
+    blow-up guard and ||div u||_2 on vel for the records. A field without
+    a physical view gets a fresh copy of its inverse-transformed plane; a
+    cached view is kept. Every temporary lives in the two stacks of scratch
+    (see _scratch), which a caller may reuse.
     """
     grid = omega.grid
     w_h = _half_spectrum(omega)
     w_l2 = np.sqrt(_norm_sq(omega))
-    d = np.sqrt(_div_norm_sq(vel, scratch))
+    spec, phys = scratch
+    d = np.sqrt(_div_norm_sq(vel, spec))
     if d > DIV_FREE_TOLERANCE * w_l2:
         raise NotDivergenceFreeError(
             f"velocity is not discretely divergence-free: ||div u||_2 = "
             f"{d:.6e} exceeds {DIV_FREE_TOLERANCE:.1e} * ||omega||_2 = "
             f"{DIV_FREE_TOLERANCE * w_l2:.6e}")
-    w, u, v = omega.physical, vel.x.physical, vel.y.physical
-    a, b = scratch
+    fields = (omega, vel.x, vel.y)
+    # one inverse call for D_x omega, D_y omega, omega, u and v
+    np.multiply(w_h, grid._d1x, out=spec[0])
+    np.multiply(w_h, grid._d1y, out=spec[1])
+    for plane, f in zip(spec[2:], fields):
+        plane[...] = _half_spectrum(f)
+    np.fft.irfftn(spec, s=phys[0].shape, axes=(1, 2), norm="forward", out=phys)
+    for plane, f in zip(phys[2:], fields):
+        if f._phys is None:
+            f._phys = plane.copy()
+            f._phys.setflags(write=False)
+    w, u, v = (f._phys for f in fields)
 
     # advective half: products pointwise, derivatives spectral
-    # irfft2 ignores out= (numpy 2.4): the products reuse the arrays it returns
-    adv = _half_to_physical(grid, np.multiply(w_h, grid._d1x, out=a))
-    p = _half_to_physical(grid, np.multiply(w_h, grid._d1y, out=b))
-    np.multiply(u, adv, out=adv)
-    adv += np.multiply(v, p, out=p)
-    result = np.fft.rfft2(adv, norm="forward")
-    result[0, 0] = 0.0  # mean correction applies to the advective half only
+    adv = np.multiply(u, phys[0], out=phys[0])
+    adv += np.multiply(v, phys[1], out=phys[1])
     # flux half: transform the pointwise fluxes, differentiate spectrally
-    for f, d1 in ((u, grid._d1x), (v, grid._d1y)):
-        flux = np.fft.rfft2(np.multiply(f, w, out=p), norm="forward", out=a)
-        flux *= d1
-        result += flux
+    np.multiply(u, w, out=phys[1])
+    np.multiply(v, w, out=phys[2])
+    np.fft.rfft2(phys[:3], norm="forward", out=spec[:3])
+    result = spec[0].copy()
+    result[0, 0] = 0.0  # mean correction applies to the advective half only
+    result += np.multiply(spec[1], grid._d1x, out=spec[1])
+    result += np.multiply(spec[2], grid._d1y, out=spec[2])
     if dealias:
         result *= grid.dealias_mask[:, :grid.n // 2 + 1]
     return result

@@ -21,9 +21,9 @@ run() is the one way to advance a solution; its observer sees the flow
 state of every step from step 0 on, and the domain length comes from the
 initial vorticity's grid. It holds each history level as the half spectra
 (rfft2 layout) of w and N, so a step costs the eight real transforms of one
-convection evaluation; the flow state it hands to observers and sinks is the
-one that evaluation read, with the physical omega, u and v it formed still
-cached.
+convection evaluation, made in two numpy calls; the flow state it hands to
+observers and sinks is the one that evaluation read, with the physical
+omega, u and v it formed still cached.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def _forcing_half(forcing, t: float, grid: Grid):
 
 def _convect(grid: Grid, w_h, t: float, dealias: bool, scratch):
     """Flow state at time t of a mean-free vorticity half spectrum and the
-    half spectrum of its convection N: eight real transforms in all."""
+    half spectrum of its convection N: eight real transforms, two calls."""
     flow = _assemble_state(grid, w_h, t)
     return flow, _skew_kernel(flow.vel, flow.omega, dealias, scratch)
 
@@ -199,12 +199,12 @@ def _implicit_omega(grid: Grid, levels, scheme: SchemeId, dt: float,
     """Vorticity half spectrum at time t by one step of an IMEX scheme.
 
     levels are newest-first (omega, N) half-spectrum pairs; levels beyond
-    the scheme's depth are ignored. The right-hand side is summed in the
-    two scratch arrays; denominator is the scheme's a/dt + nu ksq.
+    the scheme's depth are ignored. The right-hand side is summed in two
+    planes of scratch's complex stack; denominator is a/dt + nu ksq.
     """
     _, w_weights, n_weights = _WEIGHTS[scheme]
     f_h = _forcing_half(forcing, t, grid)
-    rhs, tmp = scratch
+    rhs, tmp = scratch[0][:2]
     rhs.fill(0.0)
     for c, (w, _) in zip(w_weights, levels):
         rhs += np.multiply(c.numerator / (c.denominator * dt), w, out=tmp)
@@ -239,9 +239,9 @@ def _march(omega0: ScalarField, cfg: RunConfig, forcing):
     levels holds up to three newest-first (omega, N) half-spectrum pairs
     ending at step k; flow is the FlowState of step k. A multistep scheme
     takes step 1 by the explicit midpoint rule and, for three levels, step
-    2 by the two-level scheme. Two scratch arrays, built once per run with
-    each scheme's Helmholtz denominator, hold every temporary of a step;
-    only the arrays handed out in levels and flow are allocated afresh.
+    2 by the two-level scheme. Two stacks (convection._scratch), built once
+    per run with each scheme's Helmholtz denominator, hold every temporary
+    of a step; only the arrays handed out in levels and flow are fresh.
     """
     grid = omega0.grid
     if grid.n != cfg.n:

@@ -102,7 +102,10 @@ def read_raw(stream: IO[bytes]) -> np.ndarray:
     magic = stream.read(8)
     if magic != RAW_MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {RAW_MAGIC!r}")
-    nx, ny = struct.unpack("<II", stream.read(8))
+    dims = stream.read(8)
+    if len(dims) < 8:
+        raise ValueError("truncated raw header")
+    nx, ny = struct.unpack("<II", dims)
     data = np.frombuffer(stream.read(8 * nx * ny), dtype="<f8")
     if data.size != nx * ny:
         raise ValueError("truncated raw payload")

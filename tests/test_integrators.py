@@ -6,6 +6,8 @@ manufactured solution with genuinely active convection checks the global
 order of each scheme, startup chain included.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -287,14 +289,17 @@ FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
 
 
 def test_run_step_costs_eight_real_transforms(monkeypatch):
-    """A main-loop BDF3 step makes 5 inverse and 3 forward real transforms
-    and no complex one; a diagnostics record makes none."""
+    """A main-loop BDF3 step makes 5 inverse and 3 forward real 2-D
+    transforms, one call each over stacked planes, and no complex one; a
+    diagnostics record makes none."""
     omega0 = tg_omega0()
     counts = {}
     for name in FFT_NAMES:
-        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kw):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _fn(*args, **kw)
+        def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kw):
+            # planes of one call: the product of the input's leading dims
+            planes = math.prod(np.shape(a)[:-2])
+            counts.setdefault(_name, []).append(planes)
+            return _fn(a, *args, **kw)
         monkeypatch.setattr(np.fft, name, counted)
 
     per_step = []
@@ -308,7 +313,7 @@ def test_run_step_costs_eight_real_transforms(monkeypatch):
     run(omega0, tg_config(dt=0.01, t_final=0.1, series_every=2),
         observer=observe)
     for k in range(3, 11):
-        assert per_step[k] == {"irfft2": 5, "rfft2": 3}, k
+        assert per_step[k] == {"irfftn": [5], "rfft2": [3]}, k
     assert counts == {}  # the record of the final step
 
 

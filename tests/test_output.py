@@ -128,6 +128,8 @@ def test_read_raw_rejects_truncation():
     data = buf.getvalue()[:-8]
     with pytest.raises(ValueError):
         read_raw(io.BytesIO(data))
+    with pytest.raises(ValueError, match="truncated raw header"):
+        read_raw(io.BytesIO(RAW_MAGIC + b"\x01"))
 
 
 def test_csv_row_bytes_match_format_float():
