@@ -9,8 +9,7 @@ names (leading underscore) may change without notice.
 __version__ = "1.0.0"
 
 from .errors import (BlowUpError, ConfigError, GridMismatchError,
-                     MeanViolationError, NotDivergenceFreeError,
-                     TelescopeSolveError, VorspecError)
+                     MeanViolationError, NotDivergenceFreeError, VorspecError)
 from .spectral import (Grid, ScalarField, VectorField, derivative, divergence,
                        gradient, inner_product, l2_norm, laplacian, mean,
                        perp_gradient)
@@ -20,8 +19,7 @@ from .convection import DIV_FREE_TOLERANCE, skew_convection
 from .diagnostics import (SeriesRecord, TelescopeCoeffs, bdf3_stencil,
                           div_error, energy, enstrophy,
                           get_telescope_coefficients, hm_norm, make_record,
-                          solve_telescope_coefficients, stability_F,
-                          stability_G1, verify_telescope)
+                          stability_F, stability_G1, verify_telescope)
 from .integrators import (BLOWUP_FACTOR, RunConfig, RunSummary, SchemeId,
                           helmholtz_solve, run)
 from .bench import (SHEAR_LAYER_CASES, TG_DT_LADDER, ConvergenceRow,
@@ -35,8 +33,7 @@ __all__ = [
     "__version__",
     # errors
     "VorspecError", "GridMismatchError", "MeanViolationError",
-    "NotDivergenceFreeError", "BlowUpError", "TelescopeSolveError",
-    "ConfigError",
+    "NotDivergenceFreeError", "BlowUpError", "ConfigError",
     # spectral
     "Grid", "ScalarField", "VectorField", "derivative", "gradient",
     "divergence", "laplacian", "perp_gradient", "inner_product", "l2_norm",
@@ -47,10 +44,9 @@ __all__ = [
     # convection
     "DIV_FREE_TOLERANCE", "skew_convection",
     # diagnostics
-    "TelescopeCoeffs", "SeriesRecord", "solve_telescope_coefficients",
-    "get_telescope_coefficients", "verify_telescope", "bdf3_stencil",
-    "stability_F", "stability_G1", "energy", "enstrophy", "div_error",
-    "hm_norm", "make_record",
+    "TelescopeCoeffs", "SeriesRecord", "get_telescope_coefficients",
+    "verify_telescope", "bdf3_stencil", "stability_F", "stability_G1",
+    "energy", "enstrophy", "div_error", "hm_norm", "make_record",
     # integrators
     "SchemeId", "RunConfig", "RunSummary", "helmholtz_solve", "run",
     "BLOWUP_FACTOR",

@@ -185,7 +185,7 @@ def _check_telescope() -> CheckResult:
     res = verify_telescope(coeffs, trials=1000, seed=_SEED + 8)
     s = abs(sum(coeffs.alpha[6:10]))
     ok = (res <= 1e-10 and coeffs.alpha[0] > 0 and s <= 1e-12)
-    return CheckResult("telescope coefficients solve and verify",
+    return CheckResult("telescope coefficient identity",
                        ok, max(res, s), 1e-10)
 
 

@@ -5,7 +5,7 @@ Subcommands:
 * tg-convergence: temporal convergence table on the decaying vortex
 * tg-longrun: long Taylor-Green run streaming the diagnostics series
 * shear-layer: double shear layer benchmark (thick or thin case)
-* telescope: solve and verify the stencil decomposition coefficients
+* telescope: print and verify the stencil decomposition coefficients
 * check: run the library's invariant suite
 
 Every subcommand accepts --config FILE, a plain key=value file (one pair
@@ -29,8 +29,8 @@ from .bench import (SHEAR_LAYER_CASES, ShearLayerSpec, TaylorGreenSpec,
                     convergence_csv, convergence_study, shear_layer_init,
                     taylor_green_exact)
 from .checks import run_checks
-from .diagnostics import solve_telescope_coefficients, verify_telescope
-from .errors import BlowUpError, ConfigError, TelescopeSolveError
+from .diagnostics import get_telescope_coefficients, verify_telescope
+from .errors import BlowUpError, ConfigError
 from .integrators import RunConfig, SchemeId, run
 from .output import CsvSeriesWriter, format_float, write_pgm, write_raw
 from .spectral import Grid
@@ -85,13 +85,11 @@ _SHEAR_OPTS = (
 ) + _RUN_OPTS
 
 _TELESCOPE_OPTS = (
-    ("starts", int, 64),
-    ("seed", int, 7381),
     ("trials", int, 1000),
 )
 
-# options that count grid points, search starts or trials
-_COUNTS = ("n", "starts", "trials")
+# options that count grid points or trials
+_COUNTS = ("n", "trials")
 
 
 def _add_options(sub: argparse.ArgumentParser, table):
@@ -141,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(p, _SHEAR_OPTS)
 
     p = subs.add_parser("telescope",
-                        help="solve the stencil decomposition coefficients "
+                        help="print the stencil decomposition coefficients "
                              "and verify the identity")
     _add_options(p, _TELESCOPE_OPTS)
 
@@ -208,8 +206,6 @@ def _resolve(args: argparse.Namespace, table) -> argparse.Namespace:
             value = default
         if name in _COUNTS and value is not None and value < 1:
             raise ConfigError(f"{name} must be at least 1, got {value}")
-        if name == "seed" and value < 0:
-            raise ConfigError(f"seed must be nonnegative, got {value}")
         out[name] = value
     if config:
         unknown = ", ".join(sorted(config))
@@ -299,7 +295,7 @@ def _cmd_shear_layer(opts) -> int:
 
 
 def _cmd_telescope(opts) -> int:
-    coeffs = solve_telescope_coefficients(starts=opts.starts, seed=opts.seed)
+    coeffs = get_telescope_coefficients()
     res = verify_telescope(coeffs, trials=opts.trials)
     for i, a in enumerate(coeffs.alpha, start=1):
         print(f"alpha_{i} = {format_float(a)}")
@@ -348,9 +344,6 @@ def cli_main(argv: Optional[list] = None) -> int:
         print(f"vorspec: {exc}", file=sys.stderr)
         return 2
     except BlowUpError as exc:
-        print(f"vorspec: {exc}", file=sys.stderr)
-        return 1
-    except TelescopeSolveError as exc:
         print(f"vorspec: {exc}", file=sys.stderr)
         return 1
 

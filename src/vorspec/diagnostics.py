@@ -13,19 +13,26 @@ discrete inner product of fields. Matching the ten quadratic monomials in
 (a, b, c, d) gives ten equations; evaluating the identity at
 a = b = c = d = 1 shows a7 + a8 + a9 + a10 = 0 is implied, and that linear
 relation is solved together with the ten (a residual tolerance eps on the
-quadratic system alone would bound the sum only by sqrt(eps)). The
-resulting 11-by-10 system is consistent and is solved by multi-start damped
-Gauss-Newton with an analytic Jacobian.
+quadratic system alone would bound the sum only by sqrt(eps)).
+
+The 11-by-10 system is solved in closed form. Up to the sign symmetries
+a1 -> -a1, (a2, a3) -> -(a2, a3), (a4, a5, a6) -> -(a4, a5, a6) and
+(a7..a10) -> -(a7..a10), every real solution has a3 = a10 = -a6,
+a9 = -a5, a7 = 1/(3 a6) and a8 = a5 + a6 - a7, with a6 one of the two real
+roots of 9x^4 - 9x^3 - 3x^2 - 3x + 1; the remaining alphas are radicals in
+q = +-sqrt(6 + 18 sqrt(5)) (see _closed_form). The canonical signs are
+a1 > 0 and a2, a4, a7 >= 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatchError, TelescopeSolveError
+from .errors import GridMismatchError
 from .fields import FlowState
 from .spectral import (ScalarField, _div_norm_sq, _half_spectrum, _moments,
                        _norm_sq, l2_norm)
@@ -33,7 +40,6 @@ from .spectral import (ScalarField, _div_norm_sq, _half_spectrum, _moments,
 __all__ = [
     "TelescopeCoeffs",
     "SeriesRecord",
-    "solve_telescope_coefficients",
     "get_telescope_coefficients",
     "verify_telescope",
     "bdf3_stencil",
@@ -46,9 +52,6 @@ __all__ = [
     "make_record",
 ]
 
-TELESCOPE_STARTS = 64
-TELESCOPE_SEED = 7381
-TELESCOPE_ACCEPT = 1e-12
 _VERIFY_SEED = 9217
 
 
@@ -77,65 +80,13 @@ def _telescope_residual(al):
     ])
 
 
-def _telescope_jacobian(al):
-    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10 = al
-    return np.array([
-        [2*a1, 2*a2, 0, 2*a4, 0, 0, 2*a7, 0, 0, 0],
-        [-2*a1, -2*a2, 2*a3, -2*a4, 2*a5, 0, 0, 2*a8, 0, 0],
-        [0, 0, -2*a3, 0, -2*a5, 2*a6, 0, 0, 2*a9, 0],
-        [0, 0, 0, 0, 0, -2*a6, 0, 0, 0, 2*a10],
-        [0, 2*a3, 2*a2, 2*a5, 2*a4, 0, 2*a8, 2*a7, 0, 0],
-        [0, 0, 0, 2*a6, 0, 2*a4, 2*a9, 0, 2*a7, 0],
-        [0, 0, 0, 0, 0, 0, 2*a10, 0, 0, 2*a7],
-        [0, -2*a3, -2*a2, -2*a5, -2*a4 + 2*a6, 2*a5, 0, 2*a9, 2*a8, 0],
-        [0, 0, 0, -2*a6, 0, -2*a4, 0, 2*a10, 0, 2*a8],
-        [0, 0, 0, 0, -2*a6, -2*a5, 0, 0, 2*a10, 2*a9],
-        [0, 0, 0, 0, 0, 0, 1, 1, 1, 1],
-    ], dtype=float)
-
-
-def _gauss_newton(x0, tol=1e-13, maxit=200):
-    """Damped Gauss-Newton on the consistent 11-by-10 system."""
-    x = np.array(x0, dtype=float)
-    r = _telescope_residual(x)
-    for _ in range(maxit):
-        nr = np.linalg.norm(r, np.inf)
-        if nr < tol:
-            return x, nr
-        step, *_ = np.linalg.lstsq(_telescope_jacobian(x), -r, rcond=None)
-        lam = 1.0
-        for _ in range(30):
-            xn = x + lam * step
-            rn = _telescope_residual(xn)
-            if np.linalg.norm(rn, np.inf) < nr:
-                x, r = xn, rn
-                break
-            lam *= 0.5
-        else:
-            return None, nr
-    return None, float(np.linalg.norm(r, np.inf))
-
-
-def _canonicalize(al):
-    """Fix the four sign symmetries: a1 > 0, a2 >= 0, a4 >= 0, a7 >= 0."""
-    al = np.array(al)
-    if al[0] < 0:
-        al[0] = -al[0]
-    if al[1] < 0 or (al[1] == 0 and al[2] < 0):
-        al[1:3] = -al[1:3]
-    if al[3] < 0:
-        al[3:6] = -al[3:6]
-    if al[6] < 0:
-        al[6:10] = -al[6:10]
-    return al
-
-
 @dataclass(frozen=True)
 class TelescopeCoeffs:
-    """Solved decomposition coefficients alpha_1..alpha_10.
+    """Decomposition coefficients alpha_1..alpha_10.
 
-    distinct_solutions counts the distinct canonical solutions seen across
-    all starts (the solution set is finite only together with the implied
+    residual is the largest residual of the 11 equations at alpha.
+    distinct_solutions counts the real solutions up to the four sign
+    symmetries (the solution set is finite only together with the implied
     sum constraint; without it the solutions form a one-parameter family).
     """
 
@@ -158,57 +109,33 @@ class TelescopeCoeffs:
         return 3.0 * self.alpha[5]**2
 
 
-def solve_telescope_coefficients(starts: int = TELESCOPE_STARTS,
-                                 seed: int = TELESCOPE_SEED) -> TelescopeCoeffs:
-    """Find the decomposition coefficients by multi-start Gauss-Newton.
-
-    Starts are drawn uniformly from [-3, 3]^10 with a fixed seed, so the
-    returned (canonicalized) solution is reproducible. The first start whose
-    residual drops below TELESCOPE_ACCEPT provides the returned alphas; all
-    starts are still run to count distinct canonical solutions.
-
-    Raises TelescopeSolveError when no start converges.
-    """
-    rng = np.random.default_rng(seed)
-    accepted = None
-    found = []
-    best = np.inf
-    for _ in range(starts):
-        x0 = rng.uniform(-3.0, 3.0, size=10)
-        x, nr = _gauss_newton(x0)
-        best = min(best, nr)
-        if x is not None and nr < TELESCOPE_ACCEPT:
-            sol = _canonicalize(x)
-            found.append(sol)
-            if accepted is None:
-                accepted = sol
-                accepted_res = nr
-    if accepted is None:
-        raise TelescopeSolveError(
-            f"telescope coefficient search failed after {starts} starts "
-            f"(best residual {best:.3e})", best_residual=best)
-    distinct = []
-    for sol in found:
-        if not any(np.max(np.abs(sol - d)) < 1e-6 for d in distinct):
-            distinct.append(sol)
-    return TelescopeCoeffs(alpha=tuple(float(v) for v in accepted),
-                           residual=float(accepted_res),
-                           distinct_solutions=len(distinct))
+def _closed_form(s):
+    """The canonical solution on the branch q = s sqrt(6 + 18 sqrt(5)),
+    s = +1 or -1; a6 is then a real root of 9x^4 - 9x^3 - 3x^2 - 3x + 1."""
+    r5 = math.sqrt(5.0)
+    q = s * math.sqrt(6.0 + 18.0 * r5)
+    a6 = (1.0 + r5) / 4.0 - q / 12.0
+    a5 = (1.0 - 3.0 * r5) / 4.0 + q / 12.0
+    a4 = (5.0 * r5 - 3.0) / 8.0 + q / 24.0
+    a2 = (7.0 * r5 - 1.0) / 16.0 - 5.0 * q / 48.0
+    a1 = math.sqrt(23.0 / 192.0 + 3.0 * r5 / 64.0 - 3.0 * q / 128.0
+                   - r5 * q / 384.0)
+    a7 = 1.0 / (3.0 * a6)
+    return (a1, a2, -a6, a4, a5, a6, a7, a5 + a6 - a7, -a5, -a6)
 
 
-# solve_telescope_coefficients() with its default starts and seed, printed
-# with %.17g; tests check that the solver reproduces these bit for bit
+# every real solution up to the sign symmetries, one per branch; the
+# quartic's other two roots carry sqrt(6 - 18 sqrt(5)) and are complex
+_SOLUTIONS = (_closed_form(1.0), _closed_form(-1.0))
+
 _CANONICAL = TelescopeCoeffs(
-    alpha=(0.160048343646324, 0.20737576393772242, -0.2422938134001994,
-           1.3059040764247436, -0.86032780215009064, 0.24229381340019659,
-           1.3757401753496983, -1.9937741640995932, 0.86032780215009141,
-           -0.24229381340019646),
-    residual=8.8817841970012523e-16,
-    distinct_solutions=2)
+    alpha=_SOLUTIONS[0],
+    residual=float(np.max(np.abs(_telescope_residual(_SOLUTIONS[0])))),
+    distinct_solutions=len(_SOLUTIONS))
 
 
 def get_telescope_coefficients() -> TelescopeCoeffs:
-    """The canonical coefficients of the default solve, without solving."""
+    """The canonical coefficients of the s = +1 branch."""
     return _CANONICAL
 
 

@@ -6,7 +6,6 @@ __all__ = [
     "MeanViolationError",
     "NotDivergenceFreeError",
     "BlowUpError",
-    "TelescopeSolveError",
     "ConfigError",
 ]
 
@@ -42,20 +41,6 @@ class BlowUpError(VorspecError, RuntimeError):
         super().__init__(message)
         self.step = step
         self.last_record = last_record
-
-
-class TelescopeSolveError(VorspecError, RuntimeError):
-    """The telescope-coefficient search failed to reach the residual target.
-
-    Attributes
-    ----------
-    best_residual : float
-        Smallest residual seen across all starts.
-    """
-
-    def __init__(self, message, best_residual):
-        super().__init__(message)
-        self.best_residual = best_residual
 
 
 class ConfigError(VorspecError, ValueError):

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 RAW_MAGIC = b"VORSPEC1"
+_RAW_CHUNK = 1 << 20  # bytes per read of a raw payload
 
 # one CSV row: format_float's %.17g in every slot
 _ROW = ",".join(["%.17g"] * len(SeriesRecord.FIELDS)) + "\n"
@@ -98,7 +99,8 @@ def write_raw(stream: IO[bytes], field: ScalarField):
 
 
 def read_raw(stream: IO[bytes]) -> np.ndarray:
-    """Read back a raw dump written by write_raw."""
+    """Read back a raw dump written by write_raw; a bad magic or a short
+    header or payload raises ValueError."""
     magic = stream.read(8)
     if magic != RAW_MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {RAW_MAGIC!r}")
@@ -106,7 +108,13 @@ def read_raw(stream: IO[bytes]) -> np.ndarray:
     if len(dims) < 8:
         raise ValueError("truncated raw header")
     nx, ny = struct.unpack("<II", dims)
-    data = np.frombuffer(stream.read(8 * nx * ny), dtype="<f8")
-    if data.size != nx * ny:
-        raise ValueError("truncated raw payload")
-    return data.reshape(nx, ny).copy()
+    size = 8 * nx * ny
+    # read in bounded chunks, so a corrupt header cannot make the read
+    # allocate more than the stream holds
+    data = bytearray()
+    while len(data) < size:
+        chunk = stream.read(min(size - len(data), _RAW_CHUNK))
+        if not chunk:
+            raise ValueError("truncated raw payload")
+        data += chunk
+    return np.frombuffer(data, dtype="<f8").reshape(nx, ny)

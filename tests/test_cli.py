@@ -165,6 +165,13 @@ def test_telescope_is_deterministic(capsys):
     assert first == second
 
 
+def test_telescope_has_no_search_flags(capsys):
+    for flag in ("--starts", "--seed"):
+        code, _, err = run_cli(capsys, "telescope", flag, "8")
+        assert code == 2
+        assert f"unrecognized arguments: {flag} 8" in err
+
+
 def test_check_subcommand(capsys):
     code, out, err = run_cli(capsys, "check")
     assert code == 0
@@ -204,7 +211,7 @@ def test_uncreatable_snapshot_dir_rejected_in_one_line(tmp_path, capsys):
     (("shear-layer", "--n", "0"), "n must be at least 1"),
     (("shear-layer", "--n", "-4"), "n must be at least 1"),
     (("telescope", "--trials", "0"), "trials must be at least 1"),
-    (("telescope", "--starts", "0"), "starts must be at least 1"),
+    (("telescope", "--trials", "-3"), "trials must be at least 1"),
     (("tg-longrun", "--n", "16", "--dt", "5e-324", "--t-final", "1"),
      "not a finite number of steps"),
     (("tg-convergence", "--n", "8", "--levels", "3", "--dt0", "0"),
@@ -213,8 +220,8 @@ def test_uncreatable_snapshot_dir_rejected_in_one_line(tmp_path, capsys):
      "dt must be finite"),
     (("tg-convergence", "--n", "8", "--levels", "3", "--dt0", "1e-320"),
      "not a finite number of steps"),
-    (("telescope", "--seed", "-1", "--trials", "5"),
-     "seed must be nonnegative"),
+    (("tg-convergence", "--n", "8", "--levels", "2"),
+     "a convergence study needs at least 3 step sizes"),
     (("shear-layer", "--n", "16", "--t-final", "0.0024", "--delta", "nan"),
      "delta must be finite"),
     (("shear-layer", "--n", "16", "--t-final", "0.0024", "--delta", "inf"),

@@ -1,7 +1,10 @@
 """Static hygiene of the package sources."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import vorspec
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "vorspec"
 
@@ -39,3 +42,12 @@ def test_no_unused_imports_in_package():
         found += [f"{path.name}:{line} {name}" for line, name
                   in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def test_every_public_name_resolves():
+    modules = [vorspec] + [importlib.import_module(f"vorspec.{p.stem}")
+                           for p in sorted(PACKAGE_DIR.glob("*.py"))
+                           if p.name != "__init__.py"]
+    missing = [f"{m.__name__}.{name}" for m in modules
+               for name in m.__all__ if not hasattr(m, name)]
+    assert missing == []

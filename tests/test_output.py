@@ -1,6 +1,7 @@
 """Output formats: series CSV, PGM snapshots, raw dumps."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ def test_pgm_row_orientation():
     assert np.all(img[1:] == 0)
 
 
-def test_raw_round_trip(noise):
+def test_raw_round_trip(noise, monkeypatch):
     g = Grid(16)
     f = noise(g, nyquist_free=False)
     buf = io.BytesIO()
@@ -101,6 +102,10 @@ def test_raw_round_trip(noise):
     buf.seek(0)
     back = read_raw(buf)
     np.testing.assert_array_equal(back, f.physical)
+    # a payload read over many chunks, the last one partial
+    monkeypatch.setattr("vorspec.output._RAW_CHUNK", 24)
+    buf.seek(0)
+    np.testing.assert_array_equal(read_raw(buf), f.physical)
 
 
 def test_raw_layout():
@@ -121,7 +126,7 @@ def test_read_raw_rejects_bad_magic():
         read_raw(io.BytesIO(b"NOTMAGIC" + b"\0" * 24))
 
 
-def test_read_raw_rejects_truncation():
+def test_read_raw_rejects_truncation(tmp_path):
     g = Grid(4)
     buf = io.BytesIO()
     write_raw(buf, ScalarField.zeros(g))
@@ -130,6 +135,15 @@ def test_read_raw_rejects_truncation():
         read_raw(io.BytesIO(data))
     with pytest.raises(ValueError, match="truncated raw header"):
         read_raw(io.BytesIO(RAW_MAGIC + b"\x01"))
+    # dims of 2^32 - 1 promise a payload no stream holds
+    corrupt = RAW_MAGIC + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)
+    with pytest.raises(ValueError, match="truncated raw payload"):
+        read_raw(io.BytesIO(corrupt))
+    path = tmp_path / "corrupt.raw"
+    path.write_bytes(corrupt)
+    with path.open("rb") as fh, pytest.raises(
+            ValueError, match="truncated raw payload"):
+        read_raw(fh)
 
 
 def test_csv_row_bytes_match_format_float():
