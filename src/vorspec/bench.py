@@ -24,8 +24,7 @@ from .errors import BlowUpError, ConfigError
 from .fields import FlowState, make_state
 from .integrators import RunConfig, SchemeId, run
 from .output import format_float
-from .spectral import (Grid, ScalarField, _half_norm_sq, _half_spectrum,
-                       _moments, derivative)
+from .spectral import Grid, ScalarField, _half_norm_sq, _moments, derivative
 
 __all__ = [
     "TaylorGreenSpec",
@@ -126,9 +125,9 @@ def shear_layer_init(grid: Grid, spec: ShearLayerSpec) -> ScalarField:
     v = spec.delta * np.sin(2.0 * np.pi * X)
     w = derivative(ScalarField.from_physical(grid, v), "x", 1) \
         - derivative(ScalarField.from_physical(grid, u), "y", 1)
-    w_h = np.array(_half_spectrum(w))
+    w_h = np.array(w._half)
     w_h[0, 0] = 0.0
-    return ScalarField._adopt(grid, half=w_h)
+    return ScalarField._adopt(grid, w_h)
 
 
 @dataclass(frozen=True)
@@ -170,10 +169,9 @@ class _ErrorAccumulator:
     def __init__(self, grid: Grid, nu: float, dt: float):
         exact0 = taylor_green_exact(grid, TaylorGreenSpec(nu=nu))
         self.grid = grid
-        self.ref = {var: _half_spectrum(getattr(exact0, var))
+        self.ref = {var: getattr(exact0, var)._half
                     for var in ("omega", "psi")}
-        self.ref["u"] = (_half_spectrum(exact0.vel.x),
-                         _half_spectrum(exact0.vel.y))
+        self.ref["u"] = (exact0.vel.x._half, exact0.vel.y._half)
         self.rate = -8.0 * nu * np.pi**2
         self.dt = dt
         self.linf = {"omega": 0.0, "psi": 0.0, "u": 0.0}
@@ -185,13 +183,13 @@ class _ErrorAccumulator:
     def observe(self, step: int, flow: FlowState):
         decay = np.exp(self.rate * flow.time)
         for var in ("omega", "psi"):
-            num = _half_spectrum(getattr(flow, var))
+            num = getattr(flow, var)._half
             l2sq, h1sq = self._norms(num - self.ref[var] * decay)
             self.linf[var] = max(self.linf[var], np.sqrt(l2sq))
             self.h1sq[var] += self.dt * h1sq
         ex_u, ex_v = self.ref["u"]
-        l2a, h1a = self._norms(_half_spectrum(flow.vel.x) - ex_u * decay)
-        l2b, h1b = self._norms(_half_spectrum(flow.vel.y) - ex_v * decay)
+        l2a, h1a = self._norms(flow.vel.x._half - ex_u * decay)
+        l2b, h1b = self._norms(flow.vel.y._half - ex_v * decay)
         self.linf["u"] = max(self.linf["u"], np.sqrt(l2a + l2b))
         self.h1sq["u"] += self.dt * (h1a + h1b)
 
@@ -260,7 +258,7 @@ def convergence_study(n: int, nu: float, t_final: float,
 def _tail_fraction(omega: ScalarField) -> float:
     """Share of the enstrophy of omega in the band the 2/3 rule cuts."""
     g = omega.grid
-    w_h = _half_spectrum(omega)
+    w_h = omega._half
     total = _half_norm_sq(g, w_h)
     tail = _half_norm_sq(g, w_h * ~g.dealias_mask[:, :g.n // 2 + 1])
     return tail / total if total > 0 else 0.0

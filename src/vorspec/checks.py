@@ -216,7 +216,7 @@ def _check_functional_bounds() -> CheckResult:
     worst = 0.0
     for _ in range(10):
         hist = tuple(_noise(grid, rng) for _ in range(3))
-        F = stability_F(hist, nu=1e-3, dt=1e-3, coeffs=coeffs)
+        F = stability_F(hist, nu=1e-3, dt=1e-3)
         bound = F / coeffs.alpha[0] ** 2
         wsq = l2_norm(hist[0]) ** 2
         if F < 0:

@@ -144,8 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(p, _TELESCOPE_OPTS)
 
     p = subs.add_parser("check", help="run the library invariant suite")
-    p.add_argument("--config", metavar="FILE", default=None,
-                   help="accepted for symmetry; check takes no options")
+    _add_options(p, ())
     return parser
 
 
@@ -309,7 +308,7 @@ def _cmd_telescope(opts) -> int:
     return 0 if res <= 1e-10 else 1
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(opts) -> int:
     ok = run_checks(stream=sys.stdout)
     print("all checks passed" if ok else "CHECK FAILURES", file=sys.stderr)
     return 0 if ok else 1
@@ -336,7 +335,7 @@ def cli_main(argv: Optional[list] = None) -> int:
         if args.command == "telescope":
             return _cmd_telescope(_resolve(args, _TELESCOPE_OPTS))
         if args.command == "check":
-            return _cmd_check(args)
+            return _cmd_check(_resolve(args, ()))
         parser.print_usage(sys.stderr)
         return 2
     except (ConfigError, OSError) as exc:

@@ -24,8 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotDivergenceFreeError
-from .spectral import (ScalarField, VectorField, _div_norm_sq,
-                       _half_spectrum, _norm_sq)
+from .spectral import ScalarField, VectorField, _div_norm_sq, _norm_sq
 
 __all__ = ["DIV_FREE_TOLERANCE", "skew_convection"]
 
@@ -53,7 +52,7 @@ def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool,
     (see _scratch), which a caller may reuse.
     """
     grid = omega.grid
-    w_h = _half_spectrum(omega)
+    w_h = omega._half
     w_l2 = np.sqrt(_norm_sq(omega))
     spec, phys = scratch
     d = np.sqrt(_div_norm_sq(vel, spec))
@@ -67,7 +66,7 @@ def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool,
     np.multiply(w_h, grid._d1x, out=spec[0])
     np.multiply(w_h, grid._d1y, out=spec[1])
     for plane, f in zip(spec[2:], fields):
-        plane[...] = _half_spectrum(f)
+        plane[...] = f._half
     np.fft.irfftn(spec, s=phys[0].shape, axes=(1, 2), norm="forward", out=phys)
     for plane, f in zip(phys[2:], fields):
         if f._phys is None:
@@ -110,12 +109,12 @@ def skew_convection(vel: VectorField, omega: ScalarField,
     Returns
     -------
     ScalarField
-        Spectral-fresh field with |mean| at roundoff level.
+        Field with |mean| at roundoff level.
 
     Raises
     ------
     NotDivergenceFreeError
         If the velocity fails the precondition check.
     """
-    return ScalarField._adopt(omega.grid, half=_skew_kernel(
+    return ScalarField._adopt(omega.grid, _skew_kernel(
         vel, omega, dealias, _scratch(omega.grid)))

@@ -28,14 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import GridMismatchError
 from .fields import FlowState
-from .spectral import (ScalarField, _div_norm_sq, _half_spectrum, _moments,
-                       _norm_sq, l2_norm)
+from .spectral import ScalarField, _div_norm_sq, _moments, _norm_sq, l2_norm
 
 __all__ = [
     "TelescopeCoeffs",
@@ -209,7 +206,7 @@ def hm_norm(f: ScalarField, m: int) -> float:
     seminorm taken with the full second-order symbol (even-N Nyquist modes
     included, consistent with the discrete Laplacian).
     """
-    if m < 0:
+    if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError("m must be a nonnegative integer")
     return float(np.sqrt(_norm_sq(f, m)))
 
@@ -230,7 +227,6 @@ def div_error(state: FlowState) -> float:
     return float(np.sqrt(_div_norm_sq(state.vel)))
 
 
-@lru_cache(maxsize=4)
 def _quadratic_forms(alpha):
     """(Q0, e0, Q1, e1) of _functionals: the 3x3 matrices of F and G1 as
     quadratic forms in (w0, w1, w2) and the weights e of their nu dt terms."""
@@ -245,8 +241,11 @@ def _quadratic_forms(alpha):
             q1, np.array([37.0 / 24.0, 17.0 / 48.0, 17.0 / 96.0]))
 
 
-def _functionals(history, nu: float, dt: float, coeffs: TelescopeCoeffs,
-                 grid=None):
+# the forms of the canonical coefficients, the only ones F and G1 use
+_FORMS = _quadratic_forms(_CANONICAL.alpha)
+
+
+def _functionals(history, nu: float, dt: float, grid=None):
     """(F, G1) over the newest-first history, from its Gram matrices.
 
     With |.|_m the H^m seminorm (|.|_0 the L2 norm), F and G1 are
@@ -274,15 +273,14 @@ def _functionals(history, nu: float, dt: float, coeffs: TelescopeCoeffs,
         a, b = hist[i], hist[j]
         gram[:, i, j] = gram[:, j, i] = (
             [_norm_sq(a, m) for m in range(3)] if a is b
-            else _moments(grid, _half_spectrum(a), _half_spectrum(b)))
-    q0, e0, q1, e1 = _quadratic_forms(tuple(coeffs.alpha))
+            else _moments(grid, a._half, b._half))
+    q0, e0, q1, e1 = _FORMS
     diag = np.diagonal(gram, axis1=1, axis2=2)  # [m, i] = |w_i|_m^2
     return (float(np.vdot(q0, gram[0]) + nu * dt * (e0 @ diag[1])),
             float(np.vdot(q1, gram[1]) + nu * dt * (e1 @ diag[2])))
 
 
-def stability_F(history, nu: float, dt: float,
-                coeffs: TelescopeCoeffs | None = None) -> float:
+def stability_F(history, nu: float, dt: float) -> float:
     """Quadratic stability functional over (w^n, w^{n-1}, w^{n-2}).
 
     history is newest-first; fewer than three levels are padded with the
@@ -290,17 +288,12 @@ def stability_F(history, nu: float, dt: float,
     spectrally (Parseval-equivalent to the physical quadrature). A level on
     another grid than the first raises GridMismatchError.
     """
-    if coeffs is None:
-        coeffs = get_telescope_coefficients()
-    return _functionals(history, nu, dt, coeffs)[0]
+    return _functionals(history, nu, dt)[0]
 
 
-def stability_G1(history, nu: float, dt: float,
-                 coeffs: TelescopeCoeffs | None = None) -> float:
+def stability_G1(history, nu: float, dt: float) -> float:
     """Gradient-level companion of stability_F (H1 combos, Laplacian decay)."""
-    if coeffs is None:
-        coeffs = get_telescope_coefficients()
-    return _functionals(history, nu, dt, coeffs)[1]
+    return _functionals(history, nu, dt)[1]
 
 
 @dataclass(frozen=True)
@@ -325,8 +318,7 @@ class SeriesRecord:
 
 
 def make_record(state: FlowState, history=None, nu: float = 0.0,
-                dt: float = 1.0,
-                coeffs: TelescopeCoeffs | None = None) -> SeriesRecord:
+                dt: float = 1.0) -> SeriesRecord:
     """Assemble the full diagnostics row for one flow state.
 
     history carries the vorticity levels (newest-first) for the stability
@@ -337,9 +329,7 @@ def make_record(state: FlowState, history=None, nu: float = 0.0,
     """
     if history is None:
         history = [state.omega]
-    if coeffs is None:
-        coeffs = get_telescope_coefficients()
-    F, G1 = _functionals(history, nu, dt, coeffs, state.grid)
+    F, G1 = _functionals(history, nu, dt, state.grid)
     p = state.omega.physical
     return SeriesRecord(
         t=state.time,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeanViolationError
-from .spectral import (Grid, ScalarField, VectorField, _half_spectrum,
-                       l2_norm, mean, perp_gradient)
+from .spectral import (Grid, ScalarField, VectorField, l2_norm, mean,
+                       perp_gradient)
 
 __all__ = [
     "MEAN_TOLERANCE",
@@ -65,7 +65,7 @@ def solve_poisson(omega: ScalarField) -> ScalarField:
     _check_mean(mean(omega), "poisson right-hand side")
     g = omega.grid
     # the inverse table is 0 at k = 0
-    return ScalarField._adopt(g, half=_half_spectrum(omega) * g._inv_ksq)
+    return ScalarField._adopt(g, omega._half * g._inv_ksq)
 
 
 def velocity_from_stream(psi: ScalarField) -> VectorField:
@@ -79,7 +79,7 @@ def make_state(omega: ScalarField, t: float) -> FlowState:
     A mean within MEAN_TOLERANCE is treated as roundoff drift and removed;
     a larger mean raises MeanViolationError.
     """
-    w_h = _project_mean(np.array(_half_spectrum(omega)))  # writable copy
+    w_h = _project_mean(np.array(omega._half))  # writable copy
     return _assemble_state(omega.grid, w_h, t)
 
 
@@ -92,8 +92,8 @@ def _project_mean(w_h):
 
 def _assemble_state(grid: Grid, w_h, t: float) -> FlowState:
     """FlowState from a mean-free vorticity half spectrum; no transform."""
-    psi = ScalarField._adopt(grid, half=w_h * grid._inv_ksq)
-    return FlowState(omega=ScalarField._adopt(grid, half=w_h), psi=psi,
+    psi = ScalarField._adopt(grid, w_h * grid._inv_ksq)
+    return FlowState(omega=ScalarField._adopt(grid, w_h), psi=psi,
                      vel=velocity_from_stream(psi), time=float(t))
 
 

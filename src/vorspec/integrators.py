@@ -38,11 +38,10 @@ from fractions import Fraction
 import numpy as np
 
 from .convection import _scratch, _skew_kernel
-from .diagnostics import (SeriesRecord, get_telescope_coefficients,
-                          make_record)
-from .errors import BlowUpError, ConfigError, MeanViolationError
-from .fields import MEAN_TOLERANCE, FlowState, _assemble_state, _project_mean
-from .spectral import Grid, ScalarField, _half_spectrum, _norm_sq, mean
+from .diagnostics import SeriesRecord, make_record
+from .errors import BlowUpError, ConfigError
+from .fields import FlowState, _assemble_state, _check_mean, _project_mean
+from .spectral import Grid, ScalarField, _norm_sq, mean
 
 __all__ = [
     "SchemeId",
@@ -151,10 +150,7 @@ def _helmholtz(rhs_h, denominator):
     """Per-mode division of a half spectrum by a/dt + nu ksq, into a fresh
     array. A division, not a multiply by the reciprocal: that would round
     each mode alike at every step (see _WEIGHTS)."""
-    m = rhs_h[0, 0].real
-    if abs(m) > MEAN_TOLERANCE:
-        raise MeanViolationError(
-            f"helmholtz right-hand side has mean {m:.6e} beyond tolerance")
+    _check_mean(rhs_h[0, 0].real, "helmholtz right-hand side")
     return rhs_h / denominator
 
 
@@ -169,8 +165,8 @@ def helmholtz_solve(rhs: ScalarField, a: float, dt: float,
     if not (a > 0 and dt > 0):
         raise ValueError("helmholtz_solve needs a > 0 and dt > 0")
     g = rhs.grid
-    return ScalarField._adopt(g, half=_helmholtz(
-        _half_spectrum(rhs), float(a) / dt + nu * g._ksq))
+    return ScalarField._adopt(g, _helmholtz(rhs._half,
+                                            float(a) / dt + nu * g._ksq))
 
 
 def _forcing_half(forcing, t: float, grid: Grid):
@@ -180,11 +176,8 @@ def _forcing_half(forcing, t: float, grid: Grid):
     f = forcing(t)
     if f.grid != grid:
         raise ConfigError("forcing returned a field on the wrong grid")
-    m = mean(f)
-    if abs(m) > MEAN_TOLERANCE:
-        raise MeanViolationError(
-            f"forcing at t = {t} has mean {m:.6e}; it must be mean-free")
-    return _half_spectrum(f)
+    _check_mean(mean(f), f"forcing at t = {t}")
+    return f._half
 
 
 def _convect(grid: Grid, w_h, t: float, dealias: bool, scratch):
@@ -248,7 +241,7 @@ def _march(omega0: ScalarField, cfg: RunConfig, forcing):
         raise ConfigError(
             f"initial data on {grid} does not match config (n={cfg.n})")
     need = cfg.scheme.history_required
-    w_h = _project_mean(np.array(_half_spectrum(omega0)))
+    w_h = _project_mean(np.array(omega0._half))
     scratch = _scratch(grid)
     # a/dt + nu ksq of the run's scheme and of BDF2, which takes step 2
     denominators = {s: float(_WEIGHTS[s][0]) / cfg.dt + cfg.nu * grid._ksq
@@ -303,8 +296,6 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
         raise ConfigError(
             f"{cfg.scheme.value} startup needs {need - 1} steps but the run "
             f"has only {n_steps}")
-    coeffs = get_telescope_coefficients()
-
     records = []
     last_record = None
     omegas = ()  # newest-first vorticity fields of the stored levels
@@ -320,7 +311,7 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
             observer(k, flow)
         if k % cfg.series_every == 0 or k == n_steps:
             last_record = make_record(flow, history=omegas, nu=cfg.nu,
-                                      dt=cfg.dt, coeffs=coeffs)
+                                      dt=cfg.dt)
             records.append(last_record)
             if series_sink is not None:
                 series_sink(last_record)

@@ -22,8 +22,9 @@ layout, shape (N, N//2 + 1): columns l = 0 .. N//2, the rest following from
 Hermitian symmetry fhat[-k, -l] = conj(fhat[k, l]). The tables, the
 operators below and the time loop all work on this layout; at even N column
 N//2 is the Nyquist column, whose first-derivative symbol is zeroed like the
-Nyquist row. The full (N, N) array exists only at the API edge, in
-ScalarField.spectral.
+Nyquist row. A ScalarField's one value is its half spectrum, and its node
+values are only a cache; the full (N, N) array exists only at the API
+edge, in ScalarField.spectral.
 """
 
 from __future__ import annotations
@@ -142,44 +143,49 @@ def _require_same_grid(a, b):
 
 
 class ScalarField:
-    """Real scalar field with lazily synchronized physical and spectral views.
+    """Real scalar field whose one value is its half spectrum.
 
-    The physical view is a real (n, n) array of node values; the spectral
-    view is held as the half spectrum (rfft2 layout) of the finite Fourier
-    expansion (forward transform divided by n^2). Whichever view was not supplied is computed
-    on first access and cached, so a field is value-immutable: all arrays
-    are exposed read-only and arithmetic returns new fields. Its squared
-    Parseval seminorms are cached beside the views once taken. The spectral
-    property expands the full (n, n) coefficients on each access; a full
-    spectrum F given to the constructor keeps its Hermitian part
-    (F + conj F[-k, -l]) / 2, the spectrum of ifft2(F).real.
+    The value is the half spectrum (rfft2 layout, shape (n, n//2 + 1)) of
+    the finite Fourier expansion (forward transform divided by n^2); the
+    real (n, n) array of node values is only a cache, kept from the
+    constructor or filled by one inverse transform on first access. A field
+    is value-immutable: all arrays are exposed read-only and arithmetic
+    returns new fields. Its squared Parseval seminorms are cached beside
+    the value once taken. The spectral property expands the full (n, n)
+    coefficients on each access; a full spectrum F given to the constructor
+    keeps its Hermitian part (F + conj F[-k, -l]) / 2, the spectrum of
+    ifft2(F).real.
     """
 
     __slots__ = ("grid", "_phys", "_half", "_norms")
 
     def __init__(self, grid: Grid, physical=None, spectral=None):
-        if physical is None and spectral is None:
-            raise ValueError("need a physical or a spectral array")
-        self.grid = grid
-        self._phys = None
-        self._half = None
-        self._norms = {}
+        if (physical is None) == (spectral is None):
+            raise ValueError("need exactly one of a physical and a spectral "
+                             "array")
         shape = (grid.n, grid.n)
+        p = None
         if physical is not None:
             p = np.array(physical, dtype=np.float64, copy=True)
             if p.shape != shape:
                 raise ValueError(f"physical array shape {p.shape} != {shape}")
             p.setflags(write=False)
-            self._phys = p
-        if spectral is not None:
+            h = np.fft.rfft2(p, norm="forward")
+        else:
             s = np.asarray(spectral, dtype=np.complex128)
             if s.shape != shape:
                 raise ValueError(f"spectral array shape {s.shape} != {shape}")
             neg = grid._neg_rows
             m = grid.n // 2 + 1
             h = 0.5 * (s[:, :m] + np.conj(s[np.ix_(neg, neg[:m])]))
-            h.setflags(write=False)
-            self._half = h
+        self._init(grid, h, p)
+
+    def _init(self, grid, half, phys):
+        self.grid = grid
+        self._half = half
+        self._half.setflags(write=False)
+        self._phys = phys
+        self._norms = {}
 
     @classmethod
     def from_physical(cls, grid, values):
@@ -191,29 +197,19 @@ class ScalarField:
 
     @classmethod
     def zeros(cls, grid):
-        return cls._adopt(grid, phys=np.zeros((grid.n, grid.n)))
+        return cls._adopt(grid, np.zeros((grid.n, grid.n // 2 + 1), complex))
 
     @classmethod
-    def _adopt(cls, grid, phys=None, half=None):
-        """Build a field taking ownership of freshly computed arrays."""
+    def _adopt(cls, grid, half):
+        """Build a field taking ownership of a freshly computed half
+        spectrum."""
         f = cls.__new__(cls)
-        f.grid = grid
-        if phys is not None:
-            phys = np.asarray(phys, dtype=np.float64)
-            phys.setflags(write=False)
-        if half is not None:
-            half = np.asarray(half, dtype=np.complex128)
-            half.setflags(write=False)
-        f._phys = phys
-        f._half = half
-        f._norms = {}
-        if phys is None and half is None:
-            raise ValueError("need a physical or a spectral array")
+        f._init(grid, np.asarray(half, dtype=np.complex128), None)
         return f
 
     @property
     def physical(self):
-        """Real node values; computed from the half spectrum if stale."""
+        """Real node values; the cache, filled from the half spectrum."""
         if self._phys is None:
             p = _half_to_physical(self.grid, self._half)
             p.setflags(write=False)
@@ -223,11 +219,11 @@ class ScalarField:
     @property
     def spectral(self):
         """Full (n, n) Fourier coefficients, expanded on each access."""
-        s = _full_spectrum(self.grid, _half_spectrum(self))
+        s = _full_spectrum(self.grid, self._half)
         s.setflags(write=False)
         return s
 
-    # value-like arithmetic; combines whichever views both operands have fresh
+    # value-like arithmetic on the half spectra
     def __add__(self, other):
         return self._combine(other, 1.0)
 
@@ -238,30 +234,19 @@ class ScalarField:
         if not isinstance(other, ScalarField):
             return NotImplemented
         _require_same_grid(self, other)
-        if self._phys is not None and other._phys is not None:
-            return ScalarField._adopt(self.grid,
-                                      phys=self._phys + sign * other._phys)
-        return ScalarField._adopt(
-            self.grid,
-            half=_half_spectrum(self) + sign * _half_spectrum(other))
+        return ScalarField._adopt(self.grid, self._half + sign * other._half)
 
     def __mul__(self, c):
         if not np.isscalar(c):
             return NotImplemented
-        c = float(c)
-        phys = None if self._phys is None else c * self._phys
-        half = None if self._half is None else c * self._half
-        return ScalarField._adopt(self.grid, phys=phys, half=half)
+        return ScalarField._adopt(self.grid, float(c) * self._half)
 
     __rmul__ = __mul__
 
     def __truediv__(self, c):
         if not np.isscalar(c):
             return NotImplemented
-        c = float(c)
-        phys = None if self._phys is None else self._phys / c
-        half = None if self._half is None else self._half / c
-        return ScalarField._adopt(self.grid, phys=phys, half=half)
+        return ScalarField._adopt(self.grid, self._half / float(c))
 
     def __neg__(self):
         return self * -1.0
@@ -310,37 +295,36 @@ def derivative(field: ScalarField, axis: str, order: int = 1) -> ScalarField:
         mult = sym[:, None] if axis == "x" else sym[None, :g.n // 2 + 1]
     else:
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    return ScalarField._adopt(g, half=_half_spectrum(field) * mult)
+    return ScalarField._adopt(g, field._half * mult)
 
 
 def gradient(field: ScalarField) -> VectorField:
     """Discrete gradient (D_x f, D_y f)."""
     g = field.grid
-    s = _half_spectrum(field)
-    return VectorField(ScalarField._adopt(g, half=s * g._d1x),
-                       ScalarField._adopt(g, half=s * g._d1y))
+    s = field._half
+    return VectorField(ScalarField._adopt(g, s * g._d1x),
+                       ScalarField._adopt(g, s * g._d1y))
 
 
 def divergence(vf: VectorField) -> ScalarField:
     """Discrete divergence D_x u + D_y v."""
     g = vf.grid
-    return ScalarField._adopt(g, half=_half_spectrum(vf.x) * g._d1x
-                              + _half_spectrum(vf.y) * g._d1y)
+    return ScalarField._adopt(g, vf.x._half * g._d1x + vf.y._half * g._d1y)
 
 
 def laplacian(field: ScalarField) -> ScalarField:
     """Discrete Laplacian via the combined second-order symbol."""
     g = field.grid
-    return ScalarField._adopt(g, half=-(_half_spectrum(field) * g._ksq))
+    return ScalarField._adopt(g, -(field._half * g._ksq))
 
 
 def perp_gradient(field: ScalarField) -> VectorField:
     """Rotated gradient (D_y psi, -D_x psi); discretely divergence-free."""
     g = field.grid
-    s = _half_spectrum(field)
+    s = field._half
     v = s * g._d1x
-    return VectorField(ScalarField._adopt(g, half=s * g._d1y),
-                       ScalarField._adopt(g, half=np.negative(v, out=v)))
+    return VectorField(ScalarField._adopt(g, s * g._d1y),
+                       ScalarField._adopt(g, np.negative(v, out=v)))
 
 
 def inner_product(f: ScalarField, g: ScalarField) -> float:
@@ -358,19 +342,7 @@ def l2_norm(f: ScalarField) -> float:
 
 def mean(f: ScalarField) -> float:
     """Discrete average of f, the (0, 0) Fourier coefficient."""
-    if f._half is not None:
-        return float(f._half[0, 0].real)
-    return float(np.mean(f._phys))
-
-
-def _half_spectrum(field: ScalarField):
-    """Half spectrum (rfft2 layout) of a real field, cached on the field:
-    one real transform of the physical view when it is not yet at hand."""
-    if field._half is None:
-        h = np.fft.rfft2(field._phys, norm="forward")
-        h.setflags(write=False)
-        field._half = h
-    return field._half
+    return float(f._half[0, 0].real)
 
 
 def _half_to_physical(grid: Grid, half):
@@ -407,8 +379,8 @@ def _div_norm_sq(vel: VectorField, scratch=(None, None)) -> float:
     the two half spectra it forms go into scratch arrays when given."""
     if vel._div_sq is None:
         g = vel.grid
-        div = np.multiply(_half_spectrum(vel.x), g._d1x, out=scratch[0])
-        div += np.multiply(_half_spectrum(vel.y), g._d1y, out=scratch[1])
+        div = np.multiply(vel.x._half, g._d1x, out=scratch[0])
+        div += np.multiply(vel.y._half, g._d1y, out=scratch[1])
         vel._div_sq = _half_norm_sq(g, div)
     return vel._div_sq
 
@@ -431,7 +403,7 @@ def _norm_sq(field: ScalarField, m: int = 0) -> float:
     L2, which every step takes, from the cheaper _half_norm_sq."""
     norms = field._norms
     if m not in norms:
-        g, h = field.grid, _half_spectrum(field)
+        g, h = field.grid, field._half
         if m in (1, 2):
             _, norms[1], norms[2] = _moments(g, h, h).tolist()
         else:

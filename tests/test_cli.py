@@ -144,6 +144,19 @@ def test_missing_config_file_rejected(capsys):
     assert code == 2
 
 
+def test_check_reads_its_config_file(tmp_path, capsys):
+    """check takes no options, so an unreadable file or any key is an
+    error in one line, as for every other subcommand."""
+    code, out, err = run_cli(capsys, "check", "--config", "/no/such/file")
+    assert (code, out) == (2, "")
+    assert "cannot read config file" in err and err.count("\n") == 1
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text("# comments and blank lines are fine\n\nn=16\n")
+    code, out, err = run_cli(capsys, "check", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "unknown config keys: n" in err and err.count("\n") == 1
+
+
 def test_telescope_output(capsys):
     code, out, _ = run_cli(capsys, "telescope", "--trials", "100")
     assert code == 0

@@ -17,7 +17,7 @@ from vorspec import (
     velocity_from_stream,
 )
 from vorspec.convection import _scratch, _skew_kernel
-from vorspec.spectral import _half_spectrum, _half_to_physical
+from vorspec.spectral import _half_to_physical
 
 
 def reference_skew_convection(vel, omega, dealias=False):
@@ -52,7 +52,7 @@ def per_plane_skew_kernel(vel, omega, dealias):
     """The kernel with one numpy call per real transform: the same
     arithmetic in the same order as the batched kernel, eight calls."""
     grid = omega.grid
-    w_h = _half_spectrum(omega)
+    w_h = omega._half
     w, u, v = omega.physical, vel.x.physical, vel.y.physical
     adv = _half_to_physical(grid, w_h * grid._d1x)
     p = _half_to_physical(grid, w_h * grid._d1y)
@@ -78,7 +78,7 @@ def test_batched_kernel_matches_per_plane_bit_for_bit(noise, n, dealias):
     g = Grid(n)
 
     def spectral_only(f):  # a copy whose physical view is not yet formed
-        return ScalarField._adopt(g, half=_half_spectrum(f))
+        return ScalarField._adopt(g, half=f._half)
 
     for nyquist_free in (True, False):
         psi = noise(g, nyquist_free=nyquist_free)
@@ -91,7 +91,7 @@ def test_batched_kernel_matches_per_plane_bit_for_bit(noise, n, dealias):
         assert np.array_equal(got, want)
         for f in (w, vel.x, vel.y):
             assert np.array_equal(
-                f.physical, _half_to_physical(g, _half_spectrum(f)))
+                f.physical, _half_to_physical(g, f._half))
             assert not any(np.shares_memory(f.physical, a) for a in scratch)
 
 

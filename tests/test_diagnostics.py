@@ -160,6 +160,10 @@ def test_hm_norm_orders(noise):
 def test_hm_norm_rejects_negative_order(noise):
     with pytest.raises(ValueError):
         hm_norm(noise(Grid(8)), -1)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        hm_norm(noise(Grid(8)), 0.5)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        hm_norm(noise(Grid(8)), 1.5)
 
 
 def test_taylor_green_invariants():
@@ -181,7 +185,7 @@ def test_stability_f_constant_history(coeffs, noise):
     w = noise(g)
     nu, dt = 0.02, 0.01
     a = coeffs.alpha
-    F = stability_F([w, w, w], nu=nu, dt=dt, coeffs=coeffs)
+    F = stability_F([w, w, w], nu=nu, dt=dt)
     l2sq = l2_norm(w) ** 2
     h1sq = hm_norm(w, 1) ** 2
     want = ((a[0] ** 2 + (a[1] + a[2]) ** 2 + (a[3] + a[4] + a[5]) ** 2) * l2sq
@@ -194,7 +198,7 @@ def test_stability_g1_constant_history(coeffs, noise):
     w = noise(g)
     nu, dt = 0.02, 0.01
     a = coeffs.alpha
-    G1 = stability_G1([w, w, w], nu=nu, dt=dt, coeffs=coeffs)
+    G1 = stability_G1([w, w, w], nu=nu, dt=dt)
     h1sq = hm_norm(w, 1) ** 2
     h2sq = hm_norm(w, 2) ** 2
     want = ((a[0] ** 2 + (a[1] + a[2]) ** 2 + (a[3] + a[4] + a[5]) ** 2) * h1sq
@@ -207,18 +211,18 @@ def test_stability_f_bounds_l2_norm(coeffs, noise):
     g = Grid(16)
     for _ in range(10):
         hist = [noise(g) for _ in range(3)]
-        F = stability_F(hist, nu=0.01, dt=0.01, coeffs=coeffs)
+        F = stability_F(hist, nu=0.01, dt=0.01)
         assert l2_norm(hist[0]) ** 2 <= F / coeffs.alpha[0] ** 2 + 1e-12
 
 
 def test_short_history_padding(coeffs, noise):
     g = Grid(16)
     w = noise(g)
-    one = stability_F([w], nu=0.01, dt=0.01, coeffs=coeffs)
-    three = stability_F([w, w, w], nu=0.01, dt=0.01, coeffs=coeffs)
+    one = stability_F([w], nu=0.01, dt=0.01)
+    three = stability_F([w, w, w], nu=0.01, dt=0.01)
     assert one == pytest.approx(three, rel=1e-14)
     with pytest.raises(ValueError):
-        stability_F([], nu=0.01, dt=0.01, coeffs=coeffs)
+        stability_F([], nu=0.01, dt=0.01)
 
 
 # --- series records -------------------------------------------------------------
@@ -233,7 +237,7 @@ def test_series_record_field_order():
 def test_make_record_values(coeffs):
     g = Grid(32)
     st = taylor_green_exact(g, TaylorGreenSpec(nu=1e-3))
-    rec = make_record(st, history=[st.omega], nu=1e-3, dt=0.01, coeffs=coeffs)
+    rec = make_record(st, history=[st.omega], nu=1e-3, dt=0.01)
     assert rec.t == 0.0
     assert rec.l2_omega == pytest.approx(2 * np.pi, rel=1e-13)
     assert rec.energy == pytest.approx(0.25, rel=1e-13)
@@ -246,12 +250,10 @@ def test_make_record_values(coeffs):
 def reference_functionals(history, nu, dt, coeffs):
     """(F, G1) by the per-mode density formula on half spectra, kept here
     as the reference for the Gram-matrix form in the package."""
-    from vorspec.spectral import _half_spectrum
-
     a = coeffs.alpha
     hist = list(history) + [history[-1]] * (3 - len(history))
     g = hist[0].grid
-    w0, w1, w2 = (_half_spectrum(f) for f in hist)
+    w0, w1, w2 = (f._half for f in hist)
     p0, p1, p2, c1, c2, d1, d2 = (
         x.real**2 + x.imag**2
         for x in (w0, w1, w2, a[1] * w0 + a[2] * w1,
@@ -285,8 +287,8 @@ def test_functionals_match_per_mode_reference(coeffs, noise, n):
         for hist in _histories(Grid(n, length=length), noise):
             for levels in (hist, hist[:2], hist[:1]):
                 want = reference_functionals(levels, nu, dt, coeffs)
-                got = (stability_F(levels, nu=nu, dt=dt, coeffs=coeffs),
-                       stability_G1(levels, nu=nu, dt=dt, coeffs=coeffs))
+                got = (stability_F(levels, nu=nu, dt=dt),
+                       stability_G1(levels, nu=nu, dt=dt))
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
@@ -297,7 +299,7 @@ def test_make_record_columns_match_standalone_functions(coeffs, noise, n):
     st = make_state(hist[0], 0.5)
     hist[0] = st.omega
     nu, dt = 1e-3, 0.01
-    rec = make_record(st, history=hist, nu=nu, dt=dt, coeffs=coeffs)
+    rec = make_record(st, history=hist, nu=nu, dt=dt)
     # the norms are taken of copies, so none comes from a cache the record
     # filled; div_error is roundoff of this very state and caches nothing
     fresh = [ScalarField.from_physical(g, f.physical) for f in hist]
@@ -305,8 +307,8 @@ def test_make_record_columns_match_standalone_functions(coeffs, noise, n):
     want = dict(l2_omega=l2_norm(fst.omega), h1_omega=hm_norm(fst.omega, 1),
                 energy=energy(fst), enstrophy=enstrophy(fst),
                 div_error=div_error(st),
-                F=stability_F(fresh, nu=nu, dt=dt, coeffs=coeffs),
-                G1=stability_G1(fresh, nu=nu, dt=dt, coeffs=coeffs),
+                F=stability_F(fresh, nu=nu, dt=dt),
+                G1=stability_G1(fresh, nu=nu, dt=dt),
                 max_omega=float(np.max(np.abs(st.omega.physical))))
     assert (rec.F, rec.G1) == pytest.approx(
         reference_functionals(hist, nu, dt, coeffs), rel=1e-13, abs=0.0)
@@ -323,7 +325,7 @@ def test_functionals_reject_levels_on_another_grid(coeffs, noise, other):
     b = noise(other)
     for fn in (stability_F, stability_G1):
         with pytest.raises(GridMismatchError):
-            fn([a, b, c], nu=1e-3, dt=1e-3, coeffs=coeffs)
+            fn([a, b, c], nu=1e-3, dt=1e-3)
     with pytest.raises(GridMismatchError):
         make_record(make_state(a, 0.0), history=[a, c, b], nu=1e-3, dt=1e-3)
     # the state's grid counts, not only the first level's
@@ -335,12 +337,12 @@ def test_div_error_reads_the_norm_the_step_took(noise):
     """div_error is the Parseval norm of the divergence spectrum bit for
     bit, on a fresh state and on the flow states of run(), where the
     convection's precondition left it cached on the velocity."""
-    from vorspec.spectral import _half_norm_sq, _half_spectrum
+    from vorspec.spectral import _half_norm_sq
 
     def formula(st):
         g = st.grid
-        div = (_half_spectrum(st.vel.x) * g._d1x
-               + _half_spectrum(st.vel.y) * g._d1y)
+        div = (st.vel.x._half * g._d1x
+               + st.vel.y._half * g._d1y)
         return float(np.sqrt(_half_norm_sq(g, div)))
 
     g = Grid(16)

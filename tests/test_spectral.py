@@ -134,13 +134,12 @@ def test_half_spectrum_tables_zero_nyquist_on_both_axes():
 
 @pytest.mark.parametrize("n", [15, 16])
 def test_half_spectrum_round_trip_and_parseval(noise, n):
-    from vorspec.spectral import (_full_spectrum, _half_norm_sq,
-                                  _half_spectrum)
+    from vorspec.spectral import _full_spectrum, _half_norm_sq
 
     g = Grid(n)
     f = noise(g, nyquist_free=False)
     full = np.fft.fft2(f.physical) / (n * n)
-    half = _half_spectrum(f)  # a real transform of the physical view
+    half = f._half  # the transform from_physical made
     np.testing.assert_allclose(half, full[:, :n // 2 + 1], atol=1e-14)
     np.testing.assert_allclose(_full_spectrum(g, half), full, atol=1e-14)
     assert _half_norm_sq(g, half) == pytest.approx(l2_norm(f)**2, rel=1e-13)
@@ -208,16 +207,77 @@ def test_perp_gradient_components(noise):
 
 
 def test_field_arithmetic(noise):
+    """Fields built from node values combine through their half spectra;
+    the result agrees with plain array arithmetic to roundoff."""
     g = Grid(8)
     f = noise(g)
     h = noise(g)
     s = f + h
-    np.testing.assert_allclose(s.physical, f.physical + h.physical, atol=1e-13)
+    np.testing.assert_allclose(s.physical, f.physical + h.physical, atol=1e-14)
     d = f - h
-    np.testing.assert_allclose(d.physical, f.physical - h.physical, atol=1e-13)
-    np.testing.assert_allclose((2.5 * f).physical, 2.5 * f.physical, atol=1e-13)
-    np.testing.assert_allclose((f / 2.0).physical, f.physical / 2.0, atol=1e-13)
+    np.testing.assert_allclose(d.physical, f.physical - h.physical, atol=1e-14)
+    np.testing.assert_allclose((2.5 * f).physical, 2.5 * f.physical, atol=1e-14)
+    np.testing.assert_allclose((f / 2.0).physical, f.physical / 2.0, atol=1e-14)
     np.testing.assert_allclose((-f).physical, -f.physical, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_every_construction_path_holds_a_read_only_half_spectrum(noise, n):
+    """The half spectrum is each field's one value, present from the
+    start; the physical array is only a cache."""
+    from vorspec import make_state
+
+    g = Grid(n)
+    f, h = noise(g), noise(g)
+    p = f.physical
+    fields = {
+        "from_physical": ScalarField.from_physical(g, p),
+        "fortran_order": ScalarField.from_physical(g, np.asfortranarray(p)),
+        "from_spectral": ScalarField.from_spectral(g, f.spectral),
+        "zeros": ScalarField.zeros(g),
+        "sum": f + h, "difference": f - h, "scaled": 2.5 * f,
+        "divided": f / 3.0, "negated": -h,
+        "derivative": derivative(f, "x"), "second": derivative(f, "y", 2),
+        "laplacian": laplacian(f),
+        "perp_x": perp_gradient(f).x, "perp_y": perp_gradient(f).y,
+        "make_state": make_state(h, 0.0).omega,
+    }
+    for name, field in fields.items():
+        half = field._half
+        assert half is not None, name
+        assert half.shape == (n, n // 2 + 1) and half.dtype == complex, name
+        assert not half.flags.writeable, name
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_from_physical_keeps_its_array_and_transforms_once(
+        rng, monkeypatch, order):
+    """The constructor makes the one forward transform and keeps the given
+    values as the physical cache; reading the field later makes none."""
+    g = Grid(12)
+    p = np.array(rng.normal(size=(12, 12)), order=order)
+    want = np.fft.rfft2(p, norm="forward")
+    calls = []
+    rfft2 = np.fft.rfft2
+    monkeypatch.setattr(np.fft, "rfft2",
+                        lambda *a, **k: calls.append(a) or rfft2(*a, **k))
+    f = ScalarField.from_physical(g, p)
+    assert len(calls) == 1
+    _ = (f + f, 2.0 * f, mean(f), f.spectral, derivative(f, "x"))
+    assert len(calls) == 1
+    assert np.array_equal(f._half, want)
+    assert np.array_equal(f.physical, p)
+    assert not np.shares_memory(f.physical, p)
+    assert not f.physical.flags.writeable
+
+
+def test_constructor_takes_exactly_one_array(rng):
+    g = Grid(8)
+    p = rng.normal(size=(8, 8))
+    with pytest.raises(ValueError, match="exactly one"):
+        ScalarField(g, physical=p, spectral=np.zeros((8, 8)))
+    with pytest.raises(ValueError, match="exactly one"):
+        ScalarField(g)
 
 
 def test_mixed_grid_arithmetic_rejected(noise):
