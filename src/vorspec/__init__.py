@@ -14,7 +14,7 @@ from .spectral import (Grid, ScalarField, VectorField, derivative, divergence,
                        gradient, inner_product, l2_norm, laplacian, mean,
                        perp_gradient)
 from .fields import (MEAN_TOLERANCE, FlowState, make_state, poincare_ratio,
-                     solve_poisson, velocity_from_stream)
+                     solve_poisson)
 from .convection import DIV_FREE_TOLERANCE, skew_convection
 from .diagnostics import (SeriesRecord, TelescopeCoeffs, bdf3_stencil,
                           div_error, energy, enstrophy,
@@ -40,7 +40,7 @@ __all__ = [
     "mean",
     # fields
     "FlowState", "MEAN_TOLERANCE", "make_state", "solve_poisson",
-    "velocity_from_stream", "poincare_ratio",
+    "poincare_ratio",
     # convection
     "DIV_FREE_TOLERANCE", "skew_convection",
     # diagnostics

@@ -210,20 +210,14 @@ def convergence_study(n: int, nu: float, t_final: float,
     solution at every step. Observed orders are log2 ratios between
     consecutive rows, reported only when both rows are ok.
     """
-    if len(dts) < 3:
-        raise ConfigError("a convergence study needs at least 3 step sizes")
+    cfgs = _rung_configs(n, nu, t_final, dts, scheme, dealias)
     grid = Grid(n)
     omega0 = taylor_green_exact(grid, TaylorGreenSpec(nu=nu)).omega
 
     per_dt = []
     status = []
-    for dt in dts:
-        cfg = RunConfig(n=n, dt=dt, nu=nu, t_final=t_final, scheme=scheme,
-                        dealias=dealias)
-        # records at step 0 and the final step only; derived once cfg has
-        # validated dt
-        cfg = replace(cfg, series_every=cfg.n_steps)
-        acc = _ErrorAccumulator(grid, nu, dt)
+    for cfg in cfgs:
+        acc = _ErrorAccumulator(grid, nu, cfg.dt)
         try:
             summary = run(omega0, cfg, observer=acc.observe)
         except BlowUpError:
@@ -253,6 +247,17 @@ def convergence_study(n: int, nu: float, t_final: float,
                                        blown_up=blown,
                                        polluted=status[i] == "polluted"))
     return rows
+
+
+def _rung_configs(n: int, nu: float, t_final: float, dts: Sequence[float],
+                  scheme: SchemeId, dealias: bool) -> list:
+    """Every rung's checked RunConfig, recording step 0 and the last."""
+    if len(dts) < 3:
+        raise ConfigError("a convergence study needs at least 3 step sizes")
+    cfgs = [RunConfig(n=n, dt=dt, nu=nu, t_final=t_final, scheme=scheme,
+                      dealias=dealias) for dt in dts]
+    # series_every is derived once a config has validated its dt
+    return [replace(cfg, series_every=cfg.n_steps) for cfg in cfgs]
 
 
 def _tail_fraction(omega: ScalarField) -> float:

@@ -1,19 +1,13 @@
-"""Command-line front end.
+"""Command-line front end. Its subcommands, with their help texts and
+options, are the rows of _COMMANDS; `vorspec --help` lists them.
 
-Subcommands:
-
-* tg-convergence: temporal convergence table on the decaying vortex
-* tg-longrun: long Taylor-Green run streaming the diagnostics series
-* shear-layer: double shear layer benchmark (thick or thin case)
-* telescope: print and verify the stencil decomposition coefficients
-* check: run the library's invariant suite
-
-Every subcommand accepts --config FILE, a plain key=value file (one pair
+Every subcommand accepts --config FILE, a UTF-8 key=value file (one pair
 per line, # starts a comment, keys match the long flag names with - or _).
 Explicit flags override config values; config values override built-in
-defaults. Exit status: 0 on success, 1 on blow-up or a failed check,
-2 on a usage or configuration error or an output file that cannot be
-written, reported in one line.
+defaults. A run's whole config is checked before any grid is built or any
+output file or directory is opened. Exit status: 0 on success, 1 on
+blow-up or a failed check, 2 on a usage or configuration error or an
+output file that cannot be written, reported in one line.
 """
 
 from __future__ import annotations
@@ -26,8 +20,8 @@ from typing import Optional
 
 from . import __version__
 from .bench import (SHEAR_LAYER_CASES, ShearLayerSpec, TaylorGreenSpec,
-                    convergence_csv, convergence_study, shear_layer_init,
-                    taylor_green_exact)
+                    _rung_configs, convergence_csv, convergence_study,
+                    shear_layer_init, taylor_green_exact)
 from .checks import run_checks
 from .diagnostics import get_telescope_coefficients, verify_telescope
 from .errors import BlowUpError, ConfigError
@@ -41,15 +35,19 @@ _SCHEMES = {"euler": SchemeId.IMEX_EULER,
             "bdf2": SchemeId.IMEX_BDF2,
             "bdf3": SchemeId.IMEX_BDF3}
 
-# option tables: (name, type tag, default). A None default means the value
-# is filled in later from the benchmark case presets.
+# option tables: (name, kind, default). kind is int, float, bool, str or a
+# tuple of the accepted strings. A None default means the value is filled
+# in later from the benchmark case presets.
+_SCHEME_OPT = ("scheme", tuple(sorted(_SCHEMES)), "bdf3")
+_HELP_PREFIX = {"scheme": "time integrator "}
+
 _TG_CONV_OPTS = (
     ("n", int, 64),
     ("nu", float, 1e-3),
     ("t_final", float, 1.0),
     ("dt0", float, 0.02),
     ("levels", int, 5),
-    ("scheme", "scheme", "bdf3"),
+    _SCHEME_OPT,
     ("dealias", bool, False),
     ("output", str, ""),
 )
@@ -58,7 +56,7 @@ _RUN_OPTS = (
     ("series", str, ""),
     ("snapshot_every", int, 0),
     ("snapshot_dir", str, "."),
-    ("snapshot_format", "snapfmt", "pgm"),
+    ("snapshot_format", ("pgm", "raw", "both"), "pgm"),
     ("dealias", bool, False),
 )
 
@@ -67,89 +65,61 @@ _TG_LONG_OPTS = (
     ("nu", float, 1e-3),
     ("dt", float, 0.01),
     ("t_final", float, 10.0),
-    ("scheme", "scheme", "bdf3"),
+    _SCHEME_OPT,
     ("series_every", int, 1),
 ) + _RUN_OPTS
 
 _SHEAR_OPTS = (
-    ("case", "case", "thick"),
+    ("case", tuple(sorted(SHEAR_LAYER_CASES)), "thick"),
     ("n", int, None),
     ("nu", float, None),
     ("dt", float, None),
     ("t_final", float, 1.2),
     ("rho", float, None),
     ("delta", float, 0.05),
-    ("scheme", "scheme", "bdf3"),
+    _SCHEME_OPT,
     # thousands of steps per case; step 0 and the final step always emit
     ("series_every", int, 10),
 ) + _RUN_OPTS
-
-_TELESCOPE_OPTS = (
-    ("trials", int, 1000),
-)
 
 # options that count grid points or trials
 _COUNTS = ("n", "trials")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one line on stderr."""
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _add_options(sub: argparse.ArgumentParser, table):
     sub.add_argument("--config", metavar="FILE", default=None,
                      help="key=value file; flags given here override it")
-    for name, tag, default in table:
-        flag = "--" + name.replace("_", "-")
+    for name, kind, default in table:
         shown = "case default" if default is None else repr(default)
-        if tag is bool:
-            sub.add_argument(flag, action="store_true", default=None,
-                             help=f"(default {shown})")
-        elif tag == "scheme":
-            sub.add_argument(flag, choices=sorted(_SCHEMES), default=None,
-                             help=f"time integrator (default {shown})")
-        elif tag == "case":
-            sub.add_argument(flag, choices=sorted(SHEAR_LAYER_CASES),
-                             default=None, help=f"(default {shown})")
-        elif tag == "snapfmt":
-            sub.add_argument(flag, choices=("pgm", "raw", "both"),
-                             default=None, help=f"(default {shown})")
-        else:
-            sub.add_argument(flag, type=tag, default=None,
-                             help=f"(default {shown})")
+        how = (dict(action="store_true") if kind is bool
+               else dict(choices=kind) if isinstance(kind, tuple)
+               else dict(type=kind))
+        sub.add_argument("--" + name.replace("_", "-"), default=None,
+                         help=f"{_HELP_PREFIX.get(name, '')}(default {shown})",
+                         **how)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vorspec",
         description="pseudo-spectral 2-D incompressible flow solver "
                     "(vorticity form) with IMEX multistep time integration")
     parser.add_argument("--version", action="version",
                         version=f"vorspec {__version__}")
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = subs.add_parser("tg-convergence",
-                        help="temporal convergence study on the decaying "
-                             "vortex; writes a CSV table")
-    _add_options(p, _TG_CONV_OPTS)
-
-    p = subs.add_parser("tg-longrun",
-                        help="long decaying-vortex run; streams the "
-                             "diagnostics series as CSV")
-    _add_options(p, _TG_LONG_OPTS)
-
-    p = subs.add_parser("shear-layer",
-                        help="double shear layer benchmark (thick or thin)")
-    _add_options(p, _SHEAR_OPTS)
-
-    p = subs.add_parser("telescope",
-                        help="print the stencil decomposition coefficients "
-                             "and verify the identity")
-    _add_options(p, _TELESCOPE_OPTS)
-
-    p = subs.add_parser("check", help="run the library invariant suite")
-    _add_options(p, ())
+    for name, (text, table, _) in _COMMANDS.items():
+        _add_options(subs.add_parser(name, help=text), table)
     return parser
 
 
 def _read_config(path: str) -> dict:
-    """Parse a key=value file into a string-valued dict."""
+    """Parse a UTF-8 key=value file into a string-valued dict."""
     out = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -162,31 +132,25 @@ def _read_config(path: str) -> dict:
                         f"{path}:{lineno}: expected key=value, got {body!r}")
                 key, _, value = body.partition("=")
                 out[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     return out
 
 
-def _coerce(raw: str, tag, name: str):
+def _coerce(raw: str, kind, name: str):
     try:
-        if tag is bool:
+        if kind is bool:
             low = raw.lower()
             if low in ("1", "true", "yes", "on"):
                 return True
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        if tag is int:
-            return int(raw)
-        if tag is float:
-            return float(raw)
-        if tag == "scheme" and raw not in _SCHEMES:
-            raise ValueError(raw)
-        if tag == "case" and raw not in SHEAR_LAYER_CASES:
-            raise ValueError(raw)
-        if tag == "snapfmt" and raw not in ("pgm", "raw", "both"):
-            raise ValueError(raw)
-        return raw
+        if isinstance(kind, tuple):
+            if raw not in kind:
+                raise ValueError(raw)
+            return raw
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"config value {name}={raw!r} is not valid")
 
@@ -196,11 +160,11 @@ def _resolve(args: argparse.Namespace, table) -> argparse.Namespace:
     precedence order)."""
     config = _read_config(args.config) if args.config else {}
     out = {}
-    for name, tag, default in table:
+    for name, kind, default in table:
         value = getattr(args, name)
         raw = config.pop(name, None)  # consume even when a flag overrides it
         if value is None and raw is not None:
-            value = _coerce(raw, tag, name)
+            value = _coerce(raw, kind, name)
         if value is None:
             value = default
         if name in _COUNTS and value is not None and value < 1:
@@ -236,7 +200,16 @@ def _snapshot_sink(directory: str, prefix: str, fmt: str):
     return sink
 
 
-def _run_with_series(omega0, cfg, opts, prefix: str) -> int:
+def _run_with_series(opts, prefix: str, initial, n: int, dt: float,
+                     nu: float) -> int:
+    """Check the run's config, then run from initial(Grid(n)) with the
+    series and snapshot outputs of opts."""
+    cfg = RunConfig(n=n, dt=dt, nu=nu, t_final=opts.t_final,
+                    scheme=_SCHEMES[opts.scheme],
+                    series_every=opts.series_every,
+                    snapshot_every=opts.snapshot_every,
+                    dealias=opts.dealias)
+    omega0 = initial(Grid(n))
     snap = None
     if opts.snapshot_every > 0:
         snap = _snapshot_sink(opts.snapshot_dir, prefix, opts.snapshot_format)
@@ -245,7 +218,7 @@ def _run_with_series(omega0, cfg, opts, prefix: str) -> int:
         summary = run(omega0, cfg, series_sink=writer.write,
                       snapshot_sink=snap)
     lo, hi = summary.extrema["max_omega"]
-    dlo, dhi = summary.extrema["div_error"]
+    dhi = summary.extrema["div_error"][1]
     print(f"completed {summary.steps} steps in "
           f"{summary.elapsed_seconds:.2f} s "
           f"({1e3 * summary.seconds_per_step:.2f} ms/step); "
@@ -256,24 +229,22 @@ def _run_with_series(omega0, cfg, opts, prefix: str) -> int:
 
 def _cmd_tg_convergence(opts) -> int:
     dts = [opts.dt0 * 2.0**-i for i in range(opts.levels)]
-    # open the output first, so an unwritable path fails before the study
+    scheme = _SCHEMES[opts.scheme]
+    # check every rung, then open the output: neither a bad config nor an
+    # unwritable path costs a study or truncates an existing file
+    _rung_configs(opts.n, opts.nu, opts.t_final, dts, scheme, opts.dealias)
     with _series_stream(opts.output) as stream:
         rows = convergence_study(opts.n, opts.nu, opts.t_final, dts,
-                                 scheme=_SCHEMES[opts.scheme],
-                                 dealias=opts.dealias)
+                                 scheme=scheme, dealias=opts.dealias)
         stream.write(convergence_csv(rows))
     return 0
 
 
 def _cmd_tg_longrun(opts) -> int:
-    grid = Grid(opts.n)
-    omega0 = taylor_green_exact(grid, TaylorGreenSpec(nu=opts.nu)).omega
-    cfg = RunConfig(n=opts.n, dt=opts.dt, nu=opts.nu, t_final=opts.t_final,
-                    scheme=_SCHEMES[opts.scheme],
-                    series_every=opts.series_every,
-                    snapshot_every=opts.snapshot_every,
-                    dealias=opts.dealias)
-    return _run_with_series(omega0, cfg, opts, "tg")
+    return _run_with_series(
+        opts, "tg",
+        lambda grid: taylor_green_exact(grid, TaylorGreenSpec(opts.nu)).omega,
+        opts.n, opts.dt, opts.nu)
 
 
 def _cmd_shear_layer(opts) -> int:
@@ -282,15 +253,10 @@ def _cmd_shear_layer(opts) -> int:
         rho=base_spec.rho if opts.rho is None else opts.rho,
         delta=opts.delta,
         nu=base_spec.nu if opts.nu is None else opts.nu)
-    n = base_n if opts.n is None else opts.n
-    dt = base_dt if opts.dt is None else opts.dt
-    omega0 = shear_layer_init(Grid(n), spec)
-    cfg = RunConfig(n=n, dt=dt, nu=spec.nu, t_final=opts.t_final,
-                    scheme=_SCHEMES[opts.scheme],
-                    series_every=opts.series_every,
-                    snapshot_every=opts.snapshot_every,
-                    dealias=opts.dealias)
-    return _run_with_series(omega0, cfg, opts, f"shear-{opts.case}")
+    return _run_with_series(
+        opts, f"shear-{opts.case}", lambda grid: shear_layer_init(grid, spec),
+        base_n if opts.n is None else opts.n,
+        base_dt if opts.dt is None else opts.dt, spec.nu)
 
 
 def _cmd_telescope(opts) -> int:
@@ -314,30 +280,35 @@ def _cmd_check(opts) -> int:
     return 0 if ok else 1
 
 
+# the one list of subcommands: name -> (help, option table, handler)
+_COMMANDS = {
+    "tg-convergence": ("temporal convergence study on the decaying vortex; "
+                       "writes a CSV table", _TG_CONV_OPTS,
+                       _cmd_tg_convergence),
+    "tg-longrun": ("long decaying-vortex run; streams the diagnostics "
+                   "series as CSV", _TG_LONG_OPTS, _cmd_tg_longrun),
+    "shear-layer": ("double shear layer benchmark (thick or thin)",
+                    _SHEAR_OPTS, _cmd_shear_layer),
+    "telescope": ("print the stencil decomposition coefficients and verify "
+                  "the identity", (("trials", int, 1000),), _cmd_telescope),
+    "check": ("run the library invariant suite", (), _cmd_check),
+}
+
+
 def cli_main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse already printed the usage message (or version text)
+        # argparse already printed the usage error (or version text)
         return int(exc.code or 0)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
 
+    _, table, handler = _COMMANDS[args.command]
     try:
-        if args.command == "tg-convergence":
-            return _cmd_tg_convergence(_resolve(args, _TG_CONV_OPTS))
-        if args.command == "tg-longrun":
-            return _cmd_tg_longrun(_resolve(args, _TG_LONG_OPTS))
-        if args.command == "shear-layer":
-            return _cmd_shear_layer(_resolve(args, _SHEAR_OPTS))
-        if args.command == "telescope":
-            return _cmd_telescope(_resolve(args, _TELESCOPE_OPTS))
-        if args.command == "check":
-            return _cmd_check(_resolve(args, ()))
-        parser.print_usage(sys.stderr)
-        return 2
+        return handler(_resolve(args, table))
     except (ConfigError, OSError) as exc:
         # an OSError here comes from an output path the user named
         print(f"vorspec: {exc}", file=sys.stderr)
@@ -349,3 +320,7 @@ def cli_main(argv: Optional[list] = None) -> int:
 
 def main():
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

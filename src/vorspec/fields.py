@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeanViolationError
-from .spectral import (Grid, ScalarField, VectorField, l2_norm, mean,
-                       perp_gradient)
+from .spectral import (Grid, ScalarField, VectorField, gradient, l2_norm,
+                       mean, perp_gradient)
 
 __all__ = [
     "MEAN_TOLERANCE",
     "FlowState",
     "solve_poisson",
-    "velocity_from_stream",
     "make_state",
     "poincare_ratio",
 ]
@@ -68,11 +67,6 @@ def solve_poisson(omega: ScalarField) -> ScalarField:
     return ScalarField._adopt(g, omega._half * g._inv_ksq)
 
 
-def velocity_from_stream(psi: ScalarField) -> VectorField:
-    """Velocity (D_y psi, -D_x psi) induced by a stream function."""
-    return perp_gradient(psi)
-
-
 def make_state(omega: ScalarField, t: float) -> FlowState:
     """Assemble a FlowState from vorticity, projecting its mean to zero.
 
@@ -94,7 +88,7 @@ def _assemble_state(grid: Grid, w_h, t: float) -> FlowState:
     """FlowState from a mean-free vorticity half spectrum; no transform."""
     psi = ScalarField._adopt(grid, w_h * grid._inv_ksq)
     return FlowState(omega=ScalarField._adopt(grid, w_h), psi=psi,
-                     vel=velocity_from_stream(psi), time=float(t))
+                     vel=perp_gradient(psi), time=float(t))
 
 
 def poincare_ratio(field: ScalarField) -> float:
@@ -104,8 +98,6 @@ def poincare_ratio(field: ScalarField) -> float:
     without Nyquist content (the lowest nonzero mode is extremal). Returns
     0 for the zero field.
     """
-    from .spectral import gradient  # local import to keep module load light
-
     gr = gradient(field)
     denom = np.hypot(l2_norm(gr.x), l2_norm(gr.y))
     if denom == 0.0:

@@ -87,9 +87,10 @@ _WEIGHTS = {
 class RunConfig:
     """Parameters of one simulation run.
 
-    t_final must be a whole number n_steps of steps dt, up to roundoff;
-    series records are emitted every series_every steps (plus step 0 and the
-    final step), snapshots every snapshot_every steps when positive.
+    t_final must be a whole number n_steps of steps dt, up to roundoff, and
+    at least the steps the scheme's startup takes; series records are
+    emitted every series_every steps (plus step 0 and the final step),
+    snapshots every snapshot_every steps when positive.
     """
 
     n: int
@@ -128,6 +129,10 @@ class RunConfig:
             raise ConfigError("series_every must be a positive integer")
         if self.snapshot_every < 0:
             raise ConfigError("snapshot_every must be nonnegative")
+        need = self.scheme.history_required - 1
+        if self.n_steps < need:
+            raise ConfigError(f"{self.scheme.value} startup needs {need} "
+                              f"steps but the run has only {self.n_steps}")
 
     @property
     def n_steps(self) -> int:
@@ -291,11 +296,6 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
     finite range, reporting the failing step and the last good record.
     """
     n_steps = cfg.n_steps
-    need = cfg.scheme.history_required
-    if n_steps < need - 1:
-        raise ConfigError(
-            f"{cfg.scheme.value} startup needs {need - 1} steps but the run "
-            f"has only {n_steps}")
     records = []
     last_record = None
     omegas = ()  # newest-first vorticity fields of the stored levels

@@ -9,7 +9,7 @@ to Nyquist-free spectra; tests that probe the Nyquist behavior opt out.
 import numpy as np
 import pytest
 
-from vorspec import ScalarField, velocity_from_stream
+from vorspec import ScalarField, perp_gradient
 
 SEED = 61409
 
@@ -51,6 +51,6 @@ def divfree(rng):
 
     def make(grid, decay=3.0):
         psi = _noise(grid, rng, decay=decay)
-        return velocity_from_stream(psi)
+        return perp_gradient(psi)
 
     return make

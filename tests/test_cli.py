@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, config precedence, output wiring."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vorspec.cli import build_parser, cli_main
+import vorspec
+from vorspec.cli import _COMMANDS, _resolve, build_parser, cli_main
 
 
 def run_cli(capsys, *argv):
@@ -258,3 +262,110 @@ def test_unwritable_convergence_output_rejected_before_the_study(
                            str(tmp_path / "missing" / "orders.csv"))
     assert code == 2
     assert err.count("\n") == 1 and "missing" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--dt0", "nan"),
+    ("--dt0", "0.02", "--t-final", "0.02"),  # BDF3 startup needs 2 steps
+])
+def test_config_error_keeps_existing_convergence_output(tmp_path, capsys,
+                                                        argv):
+    out_file = tmp_path / "orders.csv"
+    out_file.write_bytes(b"old data\n")
+    code, _, err = run_cli(capsys, "tg-convergence", "--n", "8", *argv,
+                           "--output", str(out_file))
+    assert code == 2 and err.count("\n") == 1
+    assert out_file.read_bytes() == b"old data\n"
+
+
+def test_config_file_that_is_not_utf8_rejected_in_one_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"n=\xff\xfe\n")
+    code, out, err = run_cli(capsys, "tg-longrun", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert f"cannot read config file {cfg}" in err
+
+
+def test_module_runs_as_a_script():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(vorspec.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "vorspec.cli", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == f"vorspec {vorspec.__version__}\n"
+
+
+OPTIONS = [(command, option) for command, (_, table, _) in _COMMANDS.items()
+           for option in table]
+
+
+@pytest.mark.parametrize("command, option", OPTIONS,
+                         ids=[f"{c}-{o[0]}" for c, o in OPTIONS])
+def test_config_key_resolves_like_its_flag(tmp_path, command, option):
+    name, kind, default = option
+    table = _COMMANDS[command][1]
+    flag = "--" + name.replace("_", "-")
+    if kind is bool:
+        argv, raw = [flag], "yes"
+    else:
+        raw = kind[-1] if isinstance(kind, tuple) else \
+            {int: "7", float: "0.25", str: "out.csv"}[kind]
+        argv = [flag, raw]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]} = {raw}\n")
+    parser = build_parser()
+    by_flag = _resolve(parser.parse_args([command, *argv]), table)
+    by_file = _resolve(parser.parse_args([command, "--config", str(cfg)]),
+                       table)
+    assert by_flag == by_file
+    assert getattr(by_file, name) != default
+
+
+CHOICES = [(command, option[0]) for command, option in OPTIONS
+           if isinstance(option[1], tuple)]
+
+
+@pytest.mark.parametrize("command, name", CHOICES)
+def test_out_of_choice_value_rejected_on_both_paths(tmp_path, capsys,
+                                                    command, name):
+    flag = "--" + name.replace("_", "-")
+    code, out, err = run_cli(capsys, command, flag, "bogus")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and flag in err and "bogus" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name}=bogus\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and f"{name}='bogus'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("tg-longrun", "--dt", "0.01", "--t-final", "0.01"),
+    ("tg-longrun", "--dt", "0.3", "--t-final", "1"),
+    ("shear-layer", "--dt", "0.01", "--t-final", "0.01"),
+    ("shear-layer", "--dt", "nan"),
+    ("tg-convergence", "--dt0", "0.02", "--t-final", "0.02"),
+    ("tg-convergence", "--dt0", "nan"),
+])
+def test_config_error_comes_before_any_grid_or_output(tmp_path, capsys,
+                                                      monkeypatch, argv):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built before the config was checked")
+
+    monkeypatch.setattr("vorspec.cli.Grid", no_grid)
+    monkeypatch.setattr("vorspec.bench.Grid", no_grid)
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"old data\n")
+    snaps = tmp_path / "snaps"
+    if argv[0] == "tg-convergence":
+        outputs = ("--output", str(kept))
+    else:
+        outputs = ("--series", str(kept), "--snapshot-every", "1",
+                   "--snapshot-dir", str(snaps))
+    code, out, err = run_cli(capsys, *argv, *outputs)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert kept.read_bytes() == b"old data\n"
+    assert not snaps.exists()

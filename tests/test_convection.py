@@ -12,9 +12,9 @@ from vorspec import (
     inner_product,
     l2_norm,
     mean,
+    perp_gradient,
     skew_convection,
     taylor_green_exact,
-    velocity_from_stream,
 )
 from vorspec.convection import _scratch, _skew_kernel
 from vorspec.spectral import _half_to_physical
@@ -83,10 +83,10 @@ def test_batched_kernel_matches_per_plane_bit_for_bit(noise, n, dealias):
     for nyquist_free in (True, False):
         psi = noise(g, nyquist_free=nyquist_free)
         omega = noise(g, nyquist_free=nyquist_free)
-        vel, w = velocity_from_stream(spectral_only(psi)), spectral_only(omega)
+        vel, w = perp_gradient(spectral_only(psi)), spectral_only(omega)
         scratch = _scratch(g)
         got = _skew_kernel(vel, w, dealias, scratch)
-        want = per_plane_skew_kernel(velocity_from_stream(spectral_only(psi)),
+        want = per_plane_skew_kernel(perp_gradient(spectral_only(psi)),
                                      spectral_only(omega), dealias)
         assert np.array_equal(got, want)
         for f in (w, vel.x, vel.y):
@@ -120,7 +120,7 @@ def test_matches_complex_fft_reference(noise, n, dealias):
     g = Grid(n)
     for nyquist_free in (True, False):
         for _ in range(5):
-            vel = velocity_from_stream(noise(g, nyquist_free=nyquist_free))
+            vel = perp_gradient(noise(g, nyquist_free=nyquist_free))
             omega = noise(g, nyquist_free=nyquist_free)
             want = reference_skew_convection(vel, omega, dealias)
             got = skew_convection(vel, omega, dealias=dealias).spectral
@@ -215,10 +215,10 @@ def test_kernel_reuses_scratch_without_stale_reads(noise, n, dealias):
     scratch = _scratch(g)
     for a in scratch:
         a.fill(np.nan)
-    got = [_skew_kernel(velocity_from_stream(psi), w, dealias, scratch)
+    got = [_skew_kernel(perp_gradient(psi), w, dealias, scratch)
            for psi, w in zip(psis, omegas)]
     for psi, w, res in zip(psis, omegas, got):
-        vel = velocity_from_stream(psi)
+        vel = perp_gradient(psi)
         assert np.array_equal(res, _skew_kernel(vel, w, dealias, _scratch(g)))
         want = reference_skew_convection(vel, w, dealias)[:, :n // 2 + 1]
         assert np.max(np.abs(res - want)) <= 1e-12 * np.max(np.abs(want))

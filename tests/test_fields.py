@@ -14,7 +14,6 @@ from vorspec import (
     mean,
     poincare_ratio,
     solve_poisson,
-    velocity_from_stream,
 )
 
 
@@ -37,12 +36,6 @@ def test_solve_poisson_rejects_nonzero_mean():
     f = ScalarField.from_physical(g, np.ones((8, 8)))
     with pytest.raises(MeanViolationError):
         solve_poisson(f)
-
-
-def test_velocity_from_stream_is_divergence_free(noise):
-    g = Grid(16)
-    psi = noise(g, nyquist_free=False)
-    assert l2_norm(divergence(velocity_from_stream(psi))) < 1e-12
 
 
 def test_make_state_consistency(noise):

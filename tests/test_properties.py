@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vorspec import ConfigError, RunConfig
-from vorspec.cli import _SCHEMES, _coerce
-from vorspec.bench import SHEAR_LAYER_CASES
+from vorspec.cli import _COMMANDS, _coerce
 
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True,
                       allow_subnormal=True)
@@ -35,10 +34,10 @@ TAGS = {
     float: lambda v: type(v) is float,
     bool: lambda v: type(v) is bool,
     str: lambda v: type(v) is str,
-    "scheme": lambda v: v in _SCHEMES,
-    "case": lambda v: v in SHEAR_LAYER_CASES,
-    "snapfmt": lambda v: v in ("pgm", "raw", "both"),
 }
+# every choice tuple of the option tables accepts exactly its members
+TAGS.update({kind: kind.__contains__ for _, table, _ in _COMMANDS.values()
+             for _, kind, _ in table if isinstance(kind, tuple)})
 
 RAW = st.one_of(
     st.text(),
