@@ -38,6 +38,12 @@ def test_solve_poisson_rejects_nonzero_mean():
         solve_poisson(f)
 
 
+def test_velocity_from_stream_is_divergence_free(noise):
+    g = Grid(16)
+    state = make_state(noise(g, nyquist_free=False), 0.0)
+    assert l2_norm(divergence(state.vel)) < 1e-12
+
+
 def test_make_state_consistency(noise):
     g = Grid(16)
     omega = noise(g)
