@@ -6,8 +6,9 @@ per line, # starts a comment, keys match the long flag names with - or _).
 Explicit flags override config values; config values override built-in
 defaults. A run's whole config is checked before any grid is built or any
 output file or directory is opened. Exit status: 0 on success, 1 on
-blow-up or a failed check, 2 on a usage or configuration error or an
-output file that cannot be written, reported in one line.
+blow-up or a failed check, 2 on a usage or configuration error, an
+output file that cannot be written or an array numpy cannot allocate,
+reported in one line.
 """
 
 from __future__ import annotations
@@ -312,6 +313,9 @@ def cli_main(argv: Optional[list] = None) -> int:
     except (ConfigError, OSError) as exc:
         # an OSError here comes from an output path the user named
         print(f"vorspec: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"vorspec: out of memory: {exc}", file=sys.stderr)
         return 2
     except BlowUpError as exc:
         print(f"vorspec: {exc}", file=sys.stderr)

@@ -16,7 +16,8 @@ dealiasing is applied by default.
 One evaluation costs eight real transforms on half spectra (rfft2
 layout) in two numpy calls: five inverse (D_x omega, D_y omega, omega, u,
 v) and three forward (the advective product and the two fluxes). The
-physical omega, u and v stay cached on their fields for the records.
+physical omega, u and v stay cached on their fields: records read omega's,
+for max_omega, and observers and sinks may read all three.
 """
 
 from __future__ import annotations

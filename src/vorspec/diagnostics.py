@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .fields import FlowState
-from .spectral import ScalarField, _div_norm_sq, _moments, _norm_sq, l2_norm
+from .spectral import (Grid, ScalarField, _div_norm_sq, _moments, _norm_sq,
+                       inner_product, l2_norm)
 
 __all__ = [
     "TelescopeCoeffs",
@@ -50,6 +51,8 @@ __all__ = [
 ]
 
 _VERIFY_SEED = 9217
+# tuples per chunk of verify_telescope's scalar check (a few MB of arrays)
+_VERIFY_CHUNK = 65536
 
 
 def bdf3_stencil(f3, f2, f1, f0):
@@ -136,63 +139,49 @@ def get_telescope_coefficients() -> TelescopeCoeffs:
     return _CANONICAL
 
 
-def _decomposition_rhs_scalar(al, a, b, c, d):
+def _decomposition_rhs(al, a, b, c, d, sq):
+    """P(a, b, c) - P(b, c, d) + (a7 a + a8 b + a9 c + a10 d)^2, the right
+    side of the decomposition identity, with sq the square: np.square on
+    arrays of numbers, the squared l2_norm on fields."""
     a1, a2, a3, a4, a5, a6, a7, a8, a9, a10 = al
+    p = [sq(a1 * x) + sq(a2 * x + a3 * y) + sq(a4 * x + a5 * y + a6 * z)
+         for x, y, z in ((a, b, c), (b, c, d))]
+    return p[0] - p[1] + sq(a7 * a + a8 * b + a9 * c + a10 * d)
 
-    def P(x, y, z):
-        return (a1 * x)**2 + (a2 * x + a3 * y)**2 + (a4 * x + a5 * y + a6 * z)**2
 
-    return P(a, b, c) - P(b, c, d) + (a7 * a + a8 * b + a9 * c + a10 * d)**2
+def _l2_sq(f):
+    return l2_norm(f) ** 2
 
 
 def verify_telescope(coeffs: TelescopeCoeffs, trials: int,
                      seed: int = _VERIFY_SEED) -> float:
-    """Maximum relative residual of the decomposition identity.
+    """Largest relative residual |lhs - rhs| / max(1, |lhs|) of the
+    decomposition identity, lhs = <bdf3_stencil(a, b, c, d), 2 a - b>.
 
-    Exercises three forms: the scalar identity on random 4-tuples, the
-    field-valued inner-product form on random small fields, and the exact
-    stencil split
-        (11/6) f3 - 3 f2 + (3/2) f1 - (1/3) f0
-            = (2/3)(f3 - f2) + (7/6)(f3 - 2 f2 + f1) + (1/3)(f1 - f0).
+    It checks the scalar identity on `trials` random 4-tuples, drawn and
+    evaluated as arrays _VERIFY_CHUNK at a time, so memory stays bounded
+    whatever the trial count, then the inner-product form on min(trials,
+    32) random quadruples of fields on a 12 x 12 grid. The stencil split
+    is checked by checks._check_stencil_split.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    al = np.array(coeffs.alpha)
+    al = coeffs.alpha
     worst = 0.0
-
-    # scalar form
-    tuples = rng.normal(size=(trials, 4)) * 3.0
-    for a, b, c, d in tuples:
+    for start in range(0, trials, _VERIFY_CHUNK):
+        size = (min(_VERIFY_CHUNK, trials - start), 4)
+        a, b, c, d = rng.normal(size=size).T * 3.0
         lhs = bdf3_stencil(a, b, c, d) * (2.0 * a - b)
-        rhs = _decomposition_rhs_scalar(al, a, b, c, d)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-
-    # field-valued inner-product form on a small grid
-    from .spectral import Grid, inner_product
-
+        rhs = _decomposition_rhs(al, a, b, c, d, np.square)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs)
+                                        / np.maximum(1.0, np.abs(lhs)))))
     grid = Grid(12)
-    n_field_trials = min(trials, 32)
-    for _ in range(n_field_trials):
-        fs = [ScalarField.from_physical(grid, rng.normal(size=(12, 12)))
-              for _ in range(4)]
-        f3, f2, f1, f0 = fs
+    for _ in range(min(trials, 32)):
+        f3, f2, f1, f0 = [ScalarField.from_physical(grid, rng.normal(
+            size=(12, 12))) for _ in range(4)]
         lhs = inner_product(bdf3_stencil(f3, f2, f1, f0), 2.0 * f3 - f2)
-
-        def Pn(x, y, z):
-            return (l2_norm(al[0] * x)**2 + l2_norm(al[1] * x + al[2] * y)**2
-                    + l2_norm(al[3] * x + al[4] * y + al[5] * z)**2)
-
-        rhs = (Pn(f3, f2, f1) - Pn(f2, f1, f0)
-               + l2_norm(al[6] * f3 + al[7] * f2 + al[8] * f1 + al[9] * f0)**2)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-
-    # exact stencil split
-    vals = rng.normal(size=(min(trials, 256), 4)) * 5.0
-    for f3, f2, f1, f0 in vals:
-        lhs = bdf3_stencil(f3, f2, f1, f0)
-        rhs = (2.0 / 3.0 * (f3 - f2) + 7.0 / 6.0 * (f3 - 2.0 * f2 + f1)
-               + (f1 - f0) / 3.0)
+        rhs = _decomposition_rhs(al, f3, f2, f1, f0, _l2_sq)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return worst
 

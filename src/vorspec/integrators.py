@@ -90,7 +90,8 @@ class RunConfig:
     t_final must be a whole number n_steps of steps dt, up to roundoff, and
     at least the steps the scheme's startup takes; series records are
     emitted every series_every steps (plus step 0 and the final step),
-    snapshots every snapshot_every steps when positive.
+    snapshots every snapshot_every steps when positive. n and both cadences
+    must be Python or numpy integers.
     """
 
     n: int
@@ -103,6 +104,10 @@ class RunConfig:
     dealias: bool = False
 
     def __post_init__(self):
+        for name in ("n", "series_every", "snapshot_every"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n < 4:
             raise ConfigError(f"grid size must be at least 4, got {self.n}")
         for name in ("dt", "nu", "t_final"):

@@ -64,6 +64,15 @@ def test_taylor_green_rejects_nonpositive_nu():
         ShearLayerSpec(rho=-1.0, delta=0.05, nu=1e-4)
 
 
+@pytest.mark.parametrize("init", [
+    lambda g: taylor_green_exact(g, TaylorGreenSpec(nu=1e-3)),
+    lambda g: shear_layer_init(g, SHEAR_LAYER_CASES["thick"][0]),
+], ids=["taylor-green", "shear-layer"])
+def test_benchmarks_reject_a_non_unit_square(init):
+    with pytest.raises(ConfigError, match="unit square"):
+        init(Grid(16, length=2.0))
+
+
 def test_shear_layer_init_matches_curl():
     g = Grid(64)
     spec = ShearLayerSpec(rho=30.0, delta=0.05, nu=1e-4)

@@ -148,6 +148,27 @@ def test_missing_config_file_rejected(capsys):
     assert code == 2
 
 
+def test_config_line_without_equals_rejected_in_one_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=16\ndt 0.01\n")
+    code, out, err = run_cli(capsys, "tg-longrun", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert f"{cfg}:2: expected key=value, got 'dt 0.01'" in err
+
+
+def test_refused_allocation_reported_in_one_line(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 128. TiB for an array")
+
+    monkeypatch.setattr("vorspec.cli.Grid", refuse)
+    code, out, err = run_cli(capsys, "tg-longrun", "--n", "16", "--dt",
+                             "0.01", "--t-final", "0.05")
+    assert (code, out) == (2, "")
+    assert err == ("vorspec: out of memory: Unable to allocate 128. TiB "
+                   "for an array\n")
+
+
 def test_check_reads_its_config_file(tmp_path, capsys):
     """check takes no options, so an unreadable file or any key is an
     error in one line, as for every other subcommand."""
@@ -245,6 +266,16 @@ def test_uncreatable_snapshot_dir_rejected_in_one_line(tmp_path, capsys):
      "delta must be finite"),
     (("shear-layer", "--n", "16", "--t-final", "0.0024", "--rho", "inf"),
      "rho must be finite"),
+    (("shear-layer", "--n", "16", "--t-final", "0.0024", "--delta", "-0.1"),
+     "delta must be nonnegative"),
+    (("shear-layer", "--n", "16", "--t-final", "0.0024", "--nu", "0"),
+     "nu must be positive"),
+    (("shear-layer", "--n", "16", "--t-final", "0.0024", "--nu", "-0.0001"),
+     "nu must be positive"),
+    (("tg-longrun", "--n", "16", "--t-final", "0.05", "--series-every", "0"),
+     "series_every must be a positive integer"),
+    (("tg-longrun", "--n", "16", "--t-final", "0.05", "--snapshot-every",
+      "-1"), "snapshot_every must be nonnegative"),
 ])
 def test_bad_sizes_and_counts_rejected_in_one_line(capsys, argv, words):
     code, _, err = run_cli(capsys, *argv)

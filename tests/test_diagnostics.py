@@ -1,8 +1,11 @@
 """Diagnostics: telescope coefficients, norms, functionals, records."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from vorspec import diagnostics
 from vorspec import (
     Grid,
     GridMismatchError,
@@ -82,6 +85,49 @@ def test_verify_telescope_residual(coeffs):
 def test_verify_rejects_zero_trials(coeffs):
     with pytest.raises(ValueError):
         verify_telescope(coeffs, trials=0)
+
+
+def test_verify_telescope_matches_a_per_tuple_loop(coeffs):
+    """The chunked array form gives the per-tuple loop's worst residual bit
+    for bit over the same draws; at this count the scalar form sets it."""
+    a = np.array(coeffs.alpha)
+
+    def P(x, y, z):
+        return ((a[0] * x) ** 2 + (a[1] * x + a[2] * y) ** 2
+                + (a[3] * x + a[4] * y + a[5] * z) ** 2)
+
+    worst = 0.0
+    rng = np.random.default_rng(diagnostics._VERIFY_SEED)
+    for w in rng.normal(size=(1000, 4)) * 3.0:
+        lhs = bdf3_stencil(*w) * (2.0 * w[0] - w[1])
+        rhs = (P(w[0], w[1], w[2]) - P(w[1], w[2], w[3])
+               + (a[6] * w[0] + a[7] * w[1] + a[8] * w[2] + a[9] * w[3]) ** 2)
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+    assert verify_telescope(coeffs, trials=1000) == worst
+
+
+def test_verify_telescope_does_not_depend_on_the_chunk_size(coeffs,
+                                                            monkeypatch):
+    whole = verify_telescope(coeffs, trials=1000)
+    assert type(whole) is float
+    monkeypatch.setattr(diagnostics, "_VERIFY_CHUNK", 7)
+    assert verify_telescope(coeffs, trials=1000) == whole
+
+
+def test_verify_telescope_memory_stays_bounded(coeffs, monkeypatch):
+    """The scalar check draws and checks its tuples a chunk at a time, so
+    the traced peak stays far below the trials x 4 doubles of one draw."""
+    monkeypatch.setattr(diagnostics, "_VERIFY_CHUNK", 1000)
+    verify_telescope(coeffs, trials=1)  # first-call imports and tables
+    trials = 200_000
+    tracemalloc.start()
+    try:
+        residual = verify_telescope(coeffs, trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-10
+    assert peak < trials * 32 / 10
 
 
 def test_composite_constants_positive(coeffs):
@@ -245,6 +291,12 @@ def test_make_record_values(coeffs):
     assert rec.max_omega == pytest.approx(4 * np.pi, rel=1e-12)
     assert rec.values() == tuple(getattr(rec, k) for k in SeriesRecord.FIELDS)
     assert rec.F > 0 and rec.G1 > 0
+
+
+def test_make_record_defaults_to_the_current_vorticity(noise):
+    st = make_state(noise(Grid(16)), 0.3)
+    assert (make_record(st, nu=1e-3, dt=0.01)
+            == make_record(st, history=[st.omega], nu=1e-3, dt=0.01))
 
 
 def reference_functionals(history, nu, dt, coeffs):

@@ -80,6 +80,11 @@ def test_poincare_ratio_on_lowest_mode():
     assert poincare_ratio(f) == pytest.approx(1.0 / (2 * np.pi), rel=1e-12)
 
 
+def test_poincare_ratio_of_the_zero_field_is_zero():
+    zero = ScalarField.from_physical(Grid(8), np.zeros((8, 8)))
+    assert poincare_ratio(zero) == 0.0
+
+
 def test_poincare_bound_random_fields(noise):
     g = Grid(16)
     bound = 1.0 / (2 * np.pi) + 1e-12

@@ -44,6 +44,32 @@ def test_no_unused_imports_in_package():
     assert found == []
 
 
+def local_imports(source: str):
+    """Lines of the imports made inside a function or method body."""
+    tree = ast.parse(source)
+    return sorted({node.lineno for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_local_import_scan_sees_nested_and_method_imports():
+    source = ("import os\n"
+              "def f():\n    import sys\n"
+              "    def g():\n        from os import path\n"
+              "class C:\n    from re import compile\n"
+              "    def m(self):\n        import re\n")
+    assert local_imports(source) == [3, 5, 9]
+
+
+def test_no_function_local_imports_in_package():
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(paths) >= 10, f"package sources not found in {PACKAGE_DIR}"
+    found = [f"{path.name}:{line}" for path in paths
+             for line in local_imports(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
 def test_every_public_name_resolves():
     modules = [vorspec] + [importlib.import_module(f"vorspec.{p.stem}")
                            for p in sorted(PACKAGE_DIR.glob("*.py"))

@@ -91,6 +91,19 @@ def test_runconfig_rejects_partial_last_step():
     assert RunConfig(n=16, dt=0.1, nu=1.0, t_final=0.3).n_steps == 3
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n", 16.5), ("n", 16.0), ("series_every", 2.5),
+    ("series_every", np.nan), ("snapshot_every", 0.5), ("snapshot_every", "1"),
+])
+def test_runconfig_rejects_non_integer_counts(name, value):
+    kw = dict(n=16, dt=0.01, nu=1.0, t_final=1.0)
+    kw[name] = value
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        RunConfig(**kw)
+    kw[name] = np.int64(16)  # numpy integers are integers, as for Grid
+    assert getattr(RunConfig(**kw), name) == 16
+
+
 def test_scheme_history_depths():
     assert SchemeId.IMEX_EULER.history_required == 1
     assert SchemeId.IMEX_BDF2.history_required == 2
@@ -109,6 +122,13 @@ def test_helmholtz_inverts_operator(noise):
     got = helmholtz_solve(rhs, a=a, dt=dt, nu=nu)
     np.testing.assert_allclose(got.physical, w.physical, rtol=1e-12,
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("a, dt", [(0.0, 0.01), (-1.5, 0.01), (1.5, 0.0),
+                                   (1.5, -0.01)])
+def test_helmholtz_rejects_nonpositive_a_or_dt(noise, a, dt):
+    with pytest.raises(ValueError, match="a > 0 and dt > 0"):
+        helmholtz_solve(noise(Grid(8)), a=a, dt=dt, nu=0.1)
 
 
 # --- per-step oracles on the decaying vortex --------------------------------
@@ -280,6 +300,17 @@ def test_forcing_balances_decay():
     summary = run(omega0, cfg, forcing=lambda t: -0.1 * laplacian(omega0))
     final = summary.final_state.omega
     np.testing.assert_allclose(final.physical, omega0.physical, atol=1e-9)
+
+
+def test_run_rejects_initial_data_of_another_grid_size():
+    with pytest.raises(ConfigError, match="does not match config"):
+        run(tg_omega0(16), tg_config(n=32))
+
+
+def test_run_rejects_forcing_on_the_wrong_grid():
+    other = ScalarField.from_physical(Grid(8), np.zeros((8, 8)))
+    with pytest.raises(ConfigError, match="wrong grid"):
+        run(tg_omega0(16), tg_config(n=16), forcing=lambda t: other)
 
 
 # --- transform budget ----------------------------------------------------------

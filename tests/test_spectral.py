@@ -107,6 +107,12 @@ def test_derivative_rejects_unknown_axis(noise):
         derivative(f, "z")
 
 
+@pytest.mark.parametrize("order", [0, 3])
+def test_derivative_rejects_unknown_order(noise, order):
+    with pytest.raises(ValueError, match="order must be 1 or 2"):
+        derivative(noise(Grid(8)), "x", order)
+
+
 def test_nyquist_mode_first_derivative_is_zeroed():
     # the sawtooth mode cos(pi n x) has no odd-symmetric partner on an even
     # grid; its first derivative is defined as zero
@@ -278,6 +284,12 @@ def test_constructor_takes_exactly_one_array(rng):
         ScalarField(g, physical=p, spectral=np.zeros((8, 8)))
     with pytest.raises(ValueError, match="exactly one"):
         ScalarField(g)
+
+
+@pytest.mark.parametrize("kind", ["physical", "spectral"])
+def test_constructor_rejects_a_wrong_shape(kind):
+    with pytest.raises(ValueError, match=f"{kind} array shape"):
+        ScalarField(Grid(8), **{kind: np.zeros((8, 9))})
 
 
 def test_mixed_grid_arithmetic_rejected(noise):
