@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import sys
 from typing import Optional
 
@@ -87,8 +88,23 @@ _SHEAR_OPTS = (
 _COUNTS = ("n", "trials")
 
 
+# the most trials `vorspec telescope` runs: about 20 s at 0.19 s per 10^6
+# trials, with no output until the end
+_MAX_TRIALS = 10**8
+
+# a negative number as float() reads it, exponent forms and -inf included
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors are one line on stderr."""
+    """An ArgumentParser whose usage errors are one line on stderr and that
+    reads every negative number after an option as its value, so that
+    RunConfig and the option checks report a bad one."""
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
@@ -261,6 +277,9 @@ def _cmd_shear_layer(opts) -> int:
 
 
 def _cmd_telescope(opts) -> int:
+    if opts.trials > _MAX_TRIALS:
+        raise ConfigError(f"trials must be at most {_MAX_TRIALS}, "
+                          f"got {opts.trials}")
     coeffs = get_telescope_coefficients()
     res = verify_telescope(coeffs, trials=opts.trials)
     for i, a in enumerate(coeffs.alpha, start=1):

@@ -81,7 +81,8 @@ def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool,
     # flux half: transform the pointwise fluxes, differentiate spectrally
     np.multiply(u, w, out=phys[1])
     np.multiply(v, w, out=phys[2])
-    np.fft.rfft2(phys[:3], norm="forward", out=spec[:3])
+    # an explicit shape spares numpy its per-call shape bookkeeping
+    np.fft.rfft2(phys[:3], s=phys[0].shape, norm="forward", out=spec[:3])
     result = spec[0].copy()
     result[0, 0] = 0.0  # mean correction applies to the advective half only
     result += np.multiply(spec[1], grid._d1x, out=spec[1])

@@ -385,16 +385,24 @@ def _div_norm_sq(vel: VectorField, scratch=(None, None)) -> float:
     return vel._div_sq
 
 
-def _moments(grid: Grid, a, b):
-    """Re<a, b> in L2, H1 and H2 of two half spectra: one pass of the grid's
-    Parseval table, rows L^2 w_l ksq^m over the interleaved float view."""
+def _parseval_table(grid: Grid):
+    """The grid's Parseval table, built once: rows L^2 w_l ksq^m for the L2,
+    H1 and H2 moments (m = 0, 1, 2), each entry repeated for the real and
+    imaginary parts of the interleaved float view of a half spectrum."""
     if grid._parseval is None:
         powers = grid._ksq ** np.arange(3.0)[:, None, None]
         rows = grid.length**2 * grid._weight * powers
         grid._parseval = np.repeat(rows, 2, axis=-1).reshape(3, -1)
+        grid._parseval.setflags(write=False)
+    return grid._parseval
+
+
+def _moments(grid: Grid, a, b):
+    """Re<a, b> in L2, H1 and H2 of two half spectra: one pass of the grid's
+    Parseval table over the interleaved float view."""
     prod = (np.ascontiguousarray(a).view(np.float64)
             * np.ascontiguousarray(b).view(np.float64))
-    return grid._parseval @ prod.ravel()
+    return _parseval_table(grid) @ prod.ravel()
 
 
 def _norm_sq(field: ScalarField, m: int = 0) -> float:

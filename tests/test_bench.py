@@ -1,5 +1,7 @@
 """Benchmark drivers: exact solutions, initial data, convergence tables."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,12 @@ from vorspec import (
     shear_layer_init,
     taylor_green_exact,
 )
+from vorspec.bench import _ErrorAccumulator, _exact_stack
+from vorspec.integrators import RunConfig, run
+from vorspec.spectral import _moments
+
+FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+             "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
 
 
 def test_dt_ladder_halves():
@@ -165,3 +173,104 @@ def test_convergence_csv_format():
     assert float(fields[2]) == 1e-3
     assert float(fields[4]) == 3.01
     assert fields[6] == "ok"
+
+
+def test_repeated_step_size_rejected_before_any_run(monkeypatch):
+    """Equal consecutive step sizes would give an order of 0/0; the study
+    refuses them before its first run."""
+    def never(*args, **kwargs):
+        raise AssertionError("a rung ran before the ladder was checked")
+
+    monkeypatch.setattr("vorspec.bench.run", never)
+    with pytest.raises(ConfigError, match="consecutive step sizes must "
+                                          "differ, got dt = 0.01 twice"):
+        convergence_study(8, 1e-3, 0.1, dts=(0.01, 0.01, 0.005))
+    with pytest.raises(ConfigError, match="dt = 0.005 twice"):
+        convergence_study(8, 1e-3, 0.1, dts=(0.02, 0.01, 0.005, 0.005))
+
+
+class _PerVariableErrors:
+    """The convergence observation spelled out per variable: its own exact
+    state, its own subtractions and one _moments call per error array."""
+
+    def __init__(self, grid, nu, dt):
+        self.grid = grid
+        self.exact0 = taylor_green_exact(grid, TaylorGreenSpec(nu=nu))
+        self.nu, self.dt = nu, dt
+        self.linf = {"omega": 0.0, "psi": 0.0, "u": 0.0}
+        self.h1sq = {"omega": 0.0, "psi": 0.0, "u": 0.0}
+
+    def _l2_h1(self, num, exact, decay):
+        err = num._half - exact._half * decay
+        return _moments(self.grid, err, err)[:2]
+
+    def observe(self, step, flow):
+        decay = np.exp(-8.0 * self.nu * np.pi**2 * flow.time)
+        ex = self.exact0
+        for var in ("omega", "psi"):
+            l2sq, h1sq = self._l2_h1(getattr(flow, var), getattr(ex, var),
+                                     decay)
+            self.linf[var] = max(self.linf[var], np.sqrt(l2sq))
+            self.h1sq[var] += self.dt * h1sq
+        l2a, h1a = self._l2_h1(flow.vel.x, ex.vel.x, decay)
+        l2b, h1b = self._l2_h1(flow.vel.y, ex.vel.y, decay)
+        self.linf["u"] = max(self.linf["u"], np.sqrt(l2a + l2b))
+        self.h1sq["u"] += self.dt * (h1a + h1b)
+
+    def results(self):
+        return {var: (self.linf[var], np.sqrt(self.h1sq[var]))
+                for var in ("omega", "psi", "u")}
+
+
+@pytest.mark.parametrize("n, dt", [(16, 0.01), (64, 0.00125)])
+def test_stacked_error_observation_matches_per_variable_oracle(n, dt):
+    """One observation over the stacked error planes gives the errors of
+    the per-variable arithmetic, on a stable rung with nonzero errors."""
+    nu = 1e-3
+    grid = Grid(n)
+    exact0 = taylor_green_exact(grid, TaylorGreenSpec(nu=nu))
+    acc = _ErrorAccumulator(grid, _exact_stack(exact0), nu, dt)
+    oracle = _PerVariableErrors(grid, nu, dt)
+
+    def observe(k, flow):
+        acc.observe(k, flow)
+        oracle.observe(k, flow)
+
+    run(exact0.omega, RunConfig(n=n, dt=dt, nu=nu, t_final=40 * dt),
+        observer=observe)
+    got, want = acc.results(), oracle.results()
+    assert set(got) == set(want) == {"omega", "psi", "u"}
+    for var in want:
+        for g, w in zip(got[var], want[var]):
+            assert w > 0
+            assert abs(g - w) <= 1e-13 * w, (var, g, w)
+
+
+def test_convergence_observation_costs_no_transform(monkeypatch):
+    """Inside a whole study, every main-loop interval between observations
+    holds one step's 5 inverse and 3 forward real transforms, and the
+    error observation itself makes none."""
+    counts = {}
+    for name in FFT_NAMES:
+        def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kw):
+            counts.setdefault(_name, []).append(math.prod(np.shape(a)[:-2]))
+            return _fn(a, *args, **kw)
+        monkeypatch.setattr(np.fft, name, counted)
+
+    intervals = []
+    observe = _ErrorAccumulator.observe
+
+    def counted_observe(self, step, flow):
+        intervals.append((step, dict(counts)))
+        counts.clear()
+        observe(self, step, flow)
+        assert counts == {}, step
+
+    monkeypatch.setattr(_ErrorAccumulator, "observe", counted_observe)
+    rows = convergence_study(16, 1e-3, 0.1)
+    assert {r.status for r in rows} == {"ok"}
+    main_loop = [c for step, c in intervals if step >= 3]
+    # five rungs of 5, 10, 20, 40 and 80 steps
+    assert len(main_loop) == 3 + 8 + 18 + 38 + 78
+    for c in main_loop:
+        assert c == {"irfftn": [5], "rfft2": [3]}

@@ -400,3 +400,43 @@ def test_config_error_comes_before_any_grid_or_output(tmp_path, capsys,
     assert err.count("\n") == 1
     assert kept.read_bytes() == b"old data\n"
     assert not snaps.exists()
+
+
+@pytest.mark.parametrize("argv, words", [
+    (("shear-layer", "--nu", "-1e-4"), "nu must be positive, got -0.0001"),
+    (("shear-layer", "--nu", "-1E-3"), "nu must be positive, got -0.001"),
+    (("shear-layer", "--dt", "-1e-4"), "dt must be positive, got -0.0001"),
+    (("shear-layer", "--dt", "-1E-3"), "dt must be positive, got -0.001"),
+    (("tg-longrun", "--nu", "-1e-4"), "nu must be positive, got -0.0001"),
+    (("tg-longrun", "--dt", "-1E-3"), "dt must be positive, got -0.001"),
+    (("tg-longrun", "--dt", "-inf"), "dt must be finite, got -inf"),
+])
+def test_negative_exponent_values_read_as_values(capsys, argv, words):
+    """A negative number in exponent form, or -inf, is the option's value,
+    so the run's own check reports it, not argparse."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and words in err
+
+
+def test_telescope_trials_bounded(tmp_path, capsys, monkeypatch):
+    """A trial count above the bound is refused in one line before any
+    trial runs, from a flag or a config file; the bound itself runs."""
+    from vorspec import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("trials ran past the bound")
+
+    monkeypatch.setattr("vorspec.cli.verify_telescope", never)
+    cfg = tmp_path / "telescope.cfg"
+    cfg.write_text(f"trials = {cli._MAX_TRIALS + 1}\n")
+    for argv in (("--trials", "100000000000"), ("--config", str(cfg))):
+        code, out, err = run_cli(capsys, "telescope", *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert "trials must be at most 100000000" in err
+    seen = []
+    monkeypatch.setattr("vorspec.cli.verify_telescope",
+                        lambda coeffs, trials: seen.append(trials) or 0.0)
+    code, _, _ = run_cli(capsys, "telescope", "--trials", str(10**8))
+    assert code == 0 and seen == [10**8]
