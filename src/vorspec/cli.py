@@ -92,6 +92,10 @@ _COUNTS = ("n", "trials")
 # trials, with no output until the end
 _MAX_TRIALS = 10**8
 
+# the most steps, summed over its rungs, that `vorspec tg-convergence` runs:
+# about 10 min at N = 64 (0.6 ms a step), with no output until the end
+_MAX_STUDY_STEPS = 10**6
+
 # a negative number as float() reads it, exponent forms and -inf included
 _NEGATIVE_NUMBER = re.compile(
     r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
@@ -249,7 +253,13 @@ def _cmd_tg_convergence(opts) -> int:
     scheme = _SCHEMES[opts.scheme]
     # check every rung, then open the output: neither a bad config nor an
     # unwritable path costs a study or truncates an existing file
-    _rung_configs(opts.n, opts.nu, opts.t_final, dts, scheme, opts.dealias)
+    cfgs = _rung_configs(opts.n, opts.nu, opts.t_final, dts, scheme,
+                         opts.dealias)
+    steps = sum(cfg.n_steps for cfg in cfgs)
+    if steps > _MAX_STUDY_STEPS:
+        raise ConfigError(f"a study may take at most {_MAX_STUDY_STEPS} "
+                          f"steps; this one takes {steps} over its "
+                          f"{opts.levels} levels")
     with _series_stream(opts.output) as stream:
         rows = convergence_study(opts.n, opts.nu, opts.t_final, dts,
                                  scheme=scheme, dealias=opts.dealias)

@@ -83,9 +83,8 @@ def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool,
     np.multiply(v, w, out=phys[2])
     # an explicit shape spares numpy its per-call shape bookkeeping
     np.fft.rfft2(phys[:3], s=phys[0].shape, norm="forward", out=spec[:3])
-    result = spec[0].copy()
-    result[0, 0] = 0.0  # mean correction applies to the advective half only
-    result += np.multiply(spec[1], grid._d1x, out=spec[1])
+    spec[0][0, 0] = 0.0  # mean correction applies to the advective half only
+    result = np.add(spec[0], np.multiply(spec[1], grid._d1x, out=spec[1]))
     result += np.multiply(spec[2], grid._d1y, out=spec[2])
     if dealias:
         result *= grid.dealias_mask[:, :grid.n // 2 + 1]

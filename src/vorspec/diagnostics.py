@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .fields import FlowState
-from .spectral import (Grid, ScalarField, _div_norm_sq, _moments, _norm_sq,
-                       inner_product, l2_norm)
+from .spectral import (Grid, ScalarField, _div_norm_sq, _norm_sq,
+                       _parseval_table, inner_product, l2_norm)
 
 __all__ = [
     "TelescopeCoeffs",
@@ -216,9 +216,15 @@ def div_error(state: FlowState) -> float:
     return float(np.sqrt(_div_norm_sq(state.vel)))
 
 
+# the order of a Gram matrix's distinct entries in _functionals
+_GRAM_ORDER = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
 def _quadratic_forms(alpha):
-    """(Q0, e0, Q1, e1) of _functionals: the 3x3 matrices of F and G1 as
-    quadratic forms in (w0, w1, w2) and the weights e of their nu dt terms."""
+    """((q0, e0), (q1, e1)) of _functionals in Python floats: q, the 3x3
+    matrix of F or G1 as a quadratic form in (w0, w1, w2), as its entries in
+    _GRAM_ORDER with the off-diagonal ones doubled, and e, the weights of
+    its nu dt terms."""
     a = alpha
     rows = np.array([[a[0], 0.0, 0.0], [a[1], a[2], 0.0], [a[3], a[4], a[5]]])
     diffs = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])  # w0-w1, w1-w2
@@ -226,15 +232,17 @@ def _quadratic_forms(alpha):
     base = np.einsum("ri,rj->ij", rows, rows)
     q0, q1 = (base + np.einsum("ri,r,rj->ij", diffs, r, diffs)
               for r in ((7.0 / 8.0, 5.0 / 24.0), (5.0 / 6.0, 1.0 / 6.0)))
-    return (q0, np.array([7.0 / 4.0, 15.0 / 32.0, 13.0 / 64.0]),
-            q1, np.array([37.0 / 24.0, 17.0 / 48.0, 17.0 / 96.0]))
+    entries = [tuple(float(q[i, j]) * (1.0 if i == j else 2.0)
+                     for i, j in _GRAM_ORDER) for q in (q0, q1)]
+    return ((entries[0], (7.0 / 4.0, 15.0 / 32.0, 13.0 / 64.0)),
+            (entries[1], (37.0 / 24.0, 17.0 / 48.0, 17.0 / 96.0)))
 
 
 # the forms of the canonical coefficients, the only ones F and G1 use
 _FORMS = _quadratic_forms(_CANONICAL.alpha)
 
 
-def _functionals(history, nu: float, dt: float, grid=None):
+def _functionals(history, nu: float, dt: float, grid=None, work=None):
     """(F, G1) over the newest-first history, from its Gram matrices.
 
     With |.|_m the H^m seminorm (|.|_0 the L2 norm), F and G1 are
@@ -245,9 +253,14 @@ def _functionals(history, nu: float, dt: float, grid=None):
 
     at m = 0, (r1, r2) = (7/8, 5/24), e = (7/4, 15/32, 13/64) and at
     m = 1, (r1, r2) = (5/6, 1/6), e = (37/24, 17/48, 17/96): quadratic
-    forms in the levels, read off their H^m Gram matrices. The diagonals are
-    the levels' cached norms; only three cross moments are new work. Every
-    level must be on grid (default: the first level's).
+    forms in the levels, read off their H^m Gram matrices. The products
+    w0 w0, w0 w1, w0 w2 and w1 w2 of the levels' interleaved float views go
+    into one (4, K) array, work when given (a float array of that shape),
+    and one product with the grid's Parseval table gives all their L2, H1
+    and H2 moments. The diagonals are read through the levels' norm caches,
+    which w0's H1 and H2 from the product join first; its L2 moment gives
+    way to the cached one that l2_omega reads. Every level must be on grid
+    (default: the first level's).
     """
     hist = list(history)[:3]
     if not hist:
@@ -257,16 +270,21 @@ def _functionals(history, nu: float, dt: float, grid=None):
     if any(f.grid != grid for f in hist):
         raise GridMismatchError(f"history levels on {[f.grid for f in hist]}"
                                 f", expected all on {grid}")
-    gram = np.empty((3, 3, 3))  # [m, i, j] = Re<w_i, w_j>_m
-    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
-        a, b = hist[i], hist[j]
-        gram[:, i, j] = gram[:, j, i] = (
-            [_norm_sq(a, m) for m in range(3)] if a is b
-            else _moments(grid, a._half, b._half))
-    q0, e0, q1, e1 = _FORMS
-    diag = np.diagonal(gram, axis1=1, axis2=2)  # [m, i] = |w_i|_m^2
-    return (float(np.vdot(q0, gram[0]) + nu * dt * (e0 @ diag[1])),
-            float(np.vdot(q1, gram[1]) + nu * dt * (e1 @ diag[2])))
+    w0, w1, w2 = (np.ascontiguousarray(f._half).view(np.float64).ravel()
+                  for f in hist)
+    prod = np.empty((4, w0.size)) if work is None else work
+    for row, (a, b) in zip(prod, ((w0, w0), (w0, w1), (w0, w2), (w1, w2))):
+        np.multiply(a, b, out=row)
+    (_, h1, h2), *cross = (prod @ _parseval_table(grid).T).tolist()
+    norms = hist[0]._norms
+    norms.setdefault(1, h1)
+    norms.setdefault(2, h2)
+    # [m] = the Gram entries in _GRAM_ORDER
+    gram = [[_norm_sq(f, m) for f in hist] + [c[m] for c in cross]
+            for m in range(3)]
+    return tuple(sum(q * g for q, g in zip(qs, gram[m]))
+                 + nu * dt * sum(e * g for e, g in zip(es, gram[m + 1]))
+                 for m, (qs, es) in enumerate(_FORMS))
 
 
 def stability_F(history, nu: float, dt: float) -> float:
@@ -307,25 +325,28 @@ class SeriesRecord:
 
 
 def make_record(state: FlowState, history=None, nu: float = 0.0,
-                dt: float = 1.0) -> SeriesRecord:
+                dt: float = 1.0, *, _work=None) -> SeriesRecord:
     """Assemble the full diagnostics row for one flow state.
 
     history carries the vorticity levels (newest-first) for the stability
     functionals; when omitted only the current vorticity is used. Every
     column but max_omega comes from the spectral views by Parseval, so the
     flow states and history that run() hands out cost no transform, and
-    norms the step or an earlier record took are read from the fields.
+    norms the step, the functionals or an earlier record took are read
+    from the fields. _work is run()'s buffer for the products of
+    _functionals; without it a record allocates its own.
     """
     if history is None:
         history = [state.omega]
-    F, G1 = _functionals(history, nu, dt, state.grid)
-    p = state.omega.physical
+    F, G1 = _functionals(history, nu, dt, state.grid, _work)
+    omega = state.omega
+    p = omega.physical
     return SeriesRecord(
         t=state.time,
-        l2_omega=hm_norm(state.omega, 0),
-        h1_omega=hm_norm(state.omega, 1),
+        l2_omega=math.sqrt(_norm_sq(omega)),
+        h1_omega=math.sqrt(_norm_sq(omega, 1)),
         energy=energy(state),
-        enstrophy=enstrophy(state),
+        enstrophy=0.5 * _norm_sq(omega),
         div_error=div_error(state),
         max_omega=float(max(p.max(), -p.min())),
         F=F,

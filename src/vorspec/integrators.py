@@ -156,27 +156,38 @@ class RunSummary:
     records: list = field(default_factory=list)
 
 
-def _helmholtz(rhs_h, denominator):
-    """Per-mode division of a half spectrum by a/dt + nu ksq, into a fresh
-    array. A division, not a multiply by the reciprocal: that would round
-    each mode alike at every step (see _WEIGHTS)."""
+def _inverse_symbol(grid: Grid, a: float, dt: float, nu: float):
+    """The complex table 1/(a/dt + nu ksq) that _helmholtz multiplies by.
+
+    A complex table spares numpy its real-to-complex casting buffer. The
+    product equals the division by a/dt + nu ksq bit for bit: numpy divides
+    a complex array by a real one as (x + y 0) (1/c), and multiplies by
+    the table as (x r - y 0, x 0 + y r) with r = 1/c.
+    """
+    return (1.0 / (a / dt + nu * grid._ksq)).astype(np.complex128)
+
+
+def _helmholtz(rhs_h, inverse):
+    """Per-mode solve of a half spectrum, a product with the rounded
+    reciprocal table of _inverse_symbol, into a fresh array."""
     _check_mean(rhs_h[0, 0].real, "helmholtz right-hand side")
-    return rhs_h / denominator
+    return rhs_h * inverse
 
 
 def helmholtz_solve(rhs: ScalarField, a: float, dt: float,
                     nu: float) -> ScalarField:
-    """Solve (a/dt - nu Lap_N) w = rhs by per-mode division.
+    """Solve (a/dt - nu Lap_N) w = rhs per mode, by the product with the
+    rounded reciprocal of the symbol (bit-equal to dividing by it).
 
     The symbol a/dt + nu * 4 pi^2 |k|^2 / L^2 is strictly positive, so the
     solve is total; a mean-free rhs yields a mean-free solution since the
-    k = 0 mode is divided by a/dt alone.
+    k = 0 mode is scaled by dt/a alone.
     """
     if not (a > 0 and dt > 0):
         raise ValueError("helmholtz_solve needs a > 0 and dt > 0")
     g = rhs.grid
-    return ScalarField._adopt(g, _helmholtz(rhs._half,
-                                            float(a) / dt + nu * g._ksq))
+    return ScalarField._adopt(g, _helmholtz(
+        rhs._half, _inverse_symbol(g, float(a), dt, nu)))
 
 
 def _forcing_half(forcing, t: float, grid: Grid):
@@ -197,25 +208,35 @@ def _convect(grid: Grid, w_h, t: float, dealias: bool, scratch):
     return flow, _skew_kernel(flow.vel, flow.omega, dealias, scratch)
 
 
-def _implicit_omega(grid: Grid, levels, scheme: SchemeId, dt: float,
-                    forcing, t: float, denominator, scratch):
+def _solver(grid: Grid, scheme: SchemeId, dt: float, nu: float):
+    """(c_j/dt, e_j, 1/(a/dt + nu ksq)) of one scheme, built once per run:
+    the vorticity weights as p/(q dt) (see _WEIGHTS), the convection
+    weights and the inverse table of _helmholtz."""
+    a, w_weights, n_weights = _WEIGHTS[scheme]
+    return (tuple(c.numerator / (c.denominator * dt) for c in w_weights),
+            n_weights, _inverse_symbol(grid, float(a), dt, nu))
+
+
+def _implicit_omega(grid: Grid, levels, solver, forcing, t: float,
+                    scratch):
     """Vorticity half spectrum at time t by one step of an IMEX scheme.
 
     levels are newest-first (omega, N) half-spectrum pairs; levels beyond
-    the scheme's depth are ignored. The right-hand side is summed in two
-    planes of scratch's complex stack; denominator is a/dt + nu ksq.
+    the scheme's depth are ignored; solver is the scheme's _solver. The
+    right-hand side is summed in two planes of scratch's complex stack.
     """
-    _, w_weights, n_weights = _WEIGHTS[scheme]
+    w_weights, n_weights, inverse = solver
     f_h = _forcing_half(forcing, t, grid)
     rhs, tmp = scratch[0][:2]
-    rhs.fill(0.0)
-    for c, (w, _) in zip(w_weights, levels):
-        rhs += np.multiply(c.numerator / (c.denominator * dt), w, out=tmp)
+    (c, (w, _)), *rest = zip(w_weights, levels)
+    np.multiply(c, w, out=rhs)
+    for c, (w, _) in rest:
+        rhs += np.multiply(c, w, out=tmp)
     for c, (_, conv) in zip(n_weights, levels):
         rhs += np.multiply(c, conv, out=tmp)
     if f_h is not None:
         rhs += f_h
-    return _project_mean(_helmholtz(rhs, denominator))
+    return _project_mean(_helmholtz(rhs, inverse))
 
 
 def _explicit_rhs(grid: Grid, w_h, conv_h, nu: float, forcing, t: float):
@@ -236,41 +257,38 @@ def _midpoint_omega(grid: Grid, level, cfg: RunConfig, forcing, scratch):
     return _project_mean(w0 + dt * k2)
 
 
-def _march(omega0: ScalarField, cfg: RunConfig, forcing):
+def _march(omega0: ScalarField, cfg: RunConfig, forcing, scratch):
     """Yield (k, levels, flow) for the steps k = 0, 1, 2, ... without end.
 
     levels holds up to three newest-first (omega, N) half-spectrum pairs
     ending at step k; flow is the FlowState of step k. A multistep scheme
     takes step 1 by the explicit midpoint rule and, for three levels, step
-    2 by the two-level scheme. Two stacks (convection._scratch), built once
-    per run with each scheme's Helmholtz denominator, hold every temporary
-    of a step; only the arrays handed out in levels and flow are fresh.
+    2 by the two-level scheme. The two stacks of scratch
+    (convection._scratch) hold every temporary of a step and are free
+    between yields; only the arrays handed out in levels and flow are fresh.
     """
     grid = omega0.grid
-    if grid.n != cfg.n:
-        raise ConfigError(
-            f"initial data on {grid} does not match config (n={cfg.n})")
     need = cfg.scheme.history_required
     w_h = _project_mean(np.array(omega0._half))
-    scratch = _scratch(grid)
-    # a/dt + nu ksq of the run's scheme and of BDF2, which takes step 2
-    denominators = {s: float(_WEIGHTS[s][0]) / cfg.dt + cfg.nu * grid._ksq
-                    for s in {cfg.scheme, SchemeId.IMEX_BDF2}}
+    # the run's scheme and BDF2, which takes step 2
+    solvers = {s: _solver(grid, s, cfg.dt, cfg.nu)
+               for s in {cfg.scheme, SchemeId.IMEX_BDF2}}
     levels = ()
     for k in itertools.count():
         if k == 1 and need > 1:
             w_h = _midpoint_omega(grid, levels[0], cfg, forcing, scratch)
         elif k > 0:
             scheme = cfg.scheme if len(levels) >= need else SchemeId.IMEX_BDF2
-            w_h = _implicit_omega(grid, levels, scheme, cfg.dt, forcing,
-                                  k * cfg.dt, denominators[scheme], scratch)
+            w_h = _implicit_omega(grid, levels, solvers[scheme], forcing,
+                                  k * cfg.dt, scratch)
         flow, conv_h = _convect(grid, w_h, k * cfg.dt, cfg.dealias, scratch)
         levels = ((w_h, conv_h),) + levels[:2]
         yield k, levels, flow
 
 
 def _check_blowup(w_l2: float, ref_l2: float, step: int, last_record):
-    if not np.isfinite(w_l2) or (ref_l2 > 0 and w_l2 > BLOWUP_FACTOR * ref_l2):
+    if not math.isfinite(w_l2) or (ref_l2 > 0
+                                   and w_l2 > BLOWUP_FACTOR * ref_l2):
         raise BlowUpError(
             f"solution blew up at step {step}: ||w||_2 = {w_l2:.6e} "
             f"(initial {ref_l2:.6e})", step=step, last_record=last_record)
@@ -300,14 +318,22 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
     Returns RunSummary; raises BlowUpError when the solution leaves the
     finite range, reporting the failing step and the last good record.
     """
+    grid = omega0.grid
+    if grid.n != cfg.n:
+        raise ConfigError(
+            f"initial data on {grid} does not match config (n={cfg.n})")
     n_steps = cfg.n_steps
     records = []
     last_record = None
     omegas = ()  # newest-first vorticity fields of the stored levels
+    scratch = _scratch(grid)
+    # a record's (4, K) products go into the complex stack, free between
+    # steps, viewed as 5 float rows of K = the float count of a spectrum
+    record_work = scratch[0].view(np.float64).reshape(5, -1)[:4]
     t0 = time.perf_counter()
-    for k, _, flow in _march(omega0, cfg, forcing):
+    for k, _, flow in _march(omega0, cfg, forcing, scratch):
         # the convection's divergence precondition cached ||w||_2 on omega
-        w_l2 = float(np.sqrt(_norm_sq(flow.omega)))
+        w_l2 = math.sqrt(_norm_sq(flow.omega))
         if k == 0:
             ref_l2 = w_l2
         _check_blowup(w_l2, ref_l2, k, last_record)
@@ -316,7 +342,7 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
             observer(k, flow)
         if k % cfg.series_every == 0 or k == n_steps:
             last_record = make_record(flow, history=omegas, nu=cfg.nu,
-                                      dt=cfg.dt)
+                                      dt=cfg.dt, _work=record_work)
             records.append(last_record)
             if series_sink is not None:
                 series_sink(last_record)

@@ -89,8 +89,11 @@ class Grid:
         self._d1x = np.ascontiguousarray(np.broadcast_to(d1[:, None], (n, m)))
         self._d1y = np.ascontiguousarray(np.broadcast_to(d1[None, :m], (n, m)))
         self._ksq = two_pi_over_l**2 * (kx * kx + ky * ky)  # 4 pi^2 |k|^2 / L^2
+        # complex, so that a product with a half spectrum needs no casting
+        # buffer; 0 at k = 0
         with np.errstate(divide="ignore"):
-            self._inv_ksq = np.where(self._ksq > 0.0, 1.0 / self._ksq, 0.0)
+            self._inv_ksq = np.where(self._ksq > 0.0, 1.0 / self._ksq,
+                                     0.0).astype(np.complex128)
         # Parseval weights of the columns: every column but l = 0 and the
         # even-N Nyquist column also stands for its conjugate
         self._weight = np.full(m, 2.0)
@@ -323,8 +326,10 @@ def perp_gradient(field: ScalarField) -> VectorField:
     g = field.grid
     s = field._half
     v = s * g._d1x
+    f = v.view(np.float64)  # a float negative, faster than the complex one
+    np.negative(f, out=f)
     return VectorField(ScalarField._adopt(g, s * g._d1y),
-                       ScalarField._adopt(g, np.negative(v, out=v)))
+                       ScalarField._adopt(g, v))
 
 
 def inner_product(f: ScalarField, g: ScalarField) -> float:

@@ -440,3 +440,36 @@ def test_telescope_trials_bounded(tmp_path, capsys, monkeypatch):
                         lambda coeffs, trials: seen.append(trials) or 0.0)
     code, _, _ = run_cli(capsys, "telescope", "--trials", str(10**8))
     assert code == 0 and seen == [10**8]
+
+
+def test_convergence_study_length_bounded(tmp_path, capsys, monkeypatch):
+    """A study whose rungs sum to more steps than the bound is refused in
+    one line before any run or output, from a flag or a config file; one
+    just under the bound runs."""
+    from vorspec import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the study ran past the bound")
+
+    monkeypatch.setattr("vorspec.cli.convergence_study", never)
+    out = tmp_path / "orders.csv"
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("levels = 60\n")
+    # 10^5 (2^L - 1) steps: 700000 at L = 3, 1500000 at L = 4
+    small = ("--t-final", "1", "--dt0", "1e-5")
+    for argv in (("--levels", "60"), ("--config", str(cfg)),
+                 small + ("--levels", "4")):
+        code, stdout, err = run_cli(capsys, "tg-convergence", "--output",
+                                    str(out), *argv)
+        assert (code, stdout) == (2, "")
+        assert err.count("\n") == 1
+        assert f"at most {cli._MAX_STUDY_STEPS} steps" in err
+        assert not out.exists()
+    assert "takes 1500000 over its 4 levels" in err
+    seen = []
+    monkeypatch.setattr("vorspec.cli.convergence_study",
+                        lambda n, nu, t_final, dts, **kw: seen.append(dts)
+                        or [])
+    code, _, _ = run_cli(capsys, "tg-convergence", "--output", str(out),
+                         *small, "--levels", "3")
+    assert code == 0 and seen == [[1e-5, 5e-6, 2.5e-6]]

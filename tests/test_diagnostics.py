@@ -29,6 +29,7 @@ from vorspec import (
     verify_telescope,
 )
 from vorspec.diagnostics import _SOLUTIONS, _telescope_residual
+from vorspec.spectral import _moments, _parseval_table
 
 
 # --- telescope coefficients --------------------------------------------------
@@ -408,3 +409,64 @@ def test_div_error_reads_the_norm_the_step_took(noise):
     for flow in flows:
         assert flow.vel._div_sq is not None
         assert div_error(flow) == formula(flow)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_run_records_match_the_oracles(coeffs, noise, n):
+    """Records made inside a BDF3 run with active convection, one every
+    step, startup steps included: F and G1 match the per-mode reference
+    over the run's own levels, and h1_omega one _moments pass on a fresh
+    copy of the vorticity."""
+    g = Grid(n)
+    nu, dt = 1e-3, 1e-3
+    omegas = []
+    summary = run(noise(g), RunConfig(n=n, dt=dt, nu=nu, t_final=0.01),
+                  observer=lambda k, flow: omegas.append(flow.omega))
+    assert len(summary.records) == len(omegas) == 11
+    for k, rec in enumerate(summary.records):
+        hist = omegas[max(0, k - 2):k + 1][::-1]
+        assert (rec.F, rec.G1) == pytest.approx(
+            reference_functionals(hist, nu, dt, coeffs), rel=1e-13, abs=0.0)
+        fresh = np.array(omegas[k]._half)
+        assert rec.h1_omega == pytest.approx(
+            np.sqrt(_moments(g, fresh, fresh)[1]), rel=1e-14, abs=0.0)
+
+
+# traced bytes a record may add, measured at about 2.4 kB a record and
+# 2.9 kB over a run; one (4, K) product buffer at N = 128 is 532 kB
+_RECORD_TRACE_BOUND = 16384
+
+
+def test_records_allocate_no_product_buffer(noise):
+    """At N = 128 a record every step raises a run's traced peak over
+    records-off by less than the bound, and each record's own traced peak
+    stays below it: the products go into the run's scratch stack."""
+    g = Grid(128)
+    omega0 = noise(g)
+    _parseval_table(g)  # built once per grid, by either run's first record
+
+    def cfg(every=1):
+        return RunConfig(n=128, dt=1e-3, nu=1e-3, t_final=0.01,
+                         series_every=every)
+
+    base, record_peaks, peaks = [], [], {}
+
+    def observe(k, flow):
+        base.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+
+    def sink(rec):
+        record_peaks.append(tracemalloc.get_traced_memory()[1] - base[-1])
+
+    tracemalloc.start()
+    try:
+        for every in (10, 1):
+            tracemalloc.reset_peak()
+            run(omega0, cfg(every))
+            peaks[every] = tracemalloc.get_traced_memory()[1]
+        run(omega0, cfg(), observer=observe, series_sink=sink)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[10] < _RECORD_TRACE_BOUND
+    assert len(record_peaks) == 11
+    assert max(record_peaks) < _RECORD_TRACE_BOUND

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import vorspec as v
+from vorspec import integrators
 from vorspec import (
     BlowUpError,
     ConfigError,
@@ -129,6 +130,31 @@ def test_helmholtz_inverts_operator(noise):
 def test_helmholtz_rejects_nonpositive_a_or_dt(noise, a, dt):
     with pytest.raises(ValueError, match="a > 0 and dt > 0"):
         helmholtz_solve(noise(Grid(8)), a=a, dt=dt, nu=0.1)
+
+
+@pytest.mark.parametrize("n", [8, 15, 64, 128])
+def test_helmholtz_product_is_the_division_bit_for_bit(n):
+    """The solve multiplies by the complex table of rounded reciprocals.
+    On right sides from 1e-150 to 1e150 that equals, bit for bit, scaling
+    the real and imaginary parts by 1.0 / den, and numpy's division by den
+    (which is why the product leaves every trajectory unchanged)."""
+    g = Grid(n, length=2.0)
+    rng = np.random.default_rng(n)
+    shape = (n, n // 2 + 1, 2)
+    parts = (rng.choice([-1.0, 1.0], size=shape) * rng.uniform(1.0, 10.0, shape)
+             * 10.0 ** rng.integers(-150, 151, size=shape))
+    rhs = parts.view(np.complex128)[..., 0]
+    rhs[0, 0] = 0.0
+    for a, dt, nu in ((11.0 / 6.0, 1e-3, 1e-3), (1.5, 0.0025, 0.37),
+                      (1.0, 0.3, 2.5)):
+        den = a / dt + nu * g._ksq
+        want = np.empty_like(rhs)
+        want.real = rhs.real * (1.0 / den)
+        want.imag = rhs.imag * (1.0 / den)
+        got = integrators._helmholtz(rhs, integrators._inverse_symbol(
+            g, a, dt, nu))
+        assert np.array_equal(got, want)
+        assert np.array_equal(rhs / den, want)
 
 
 # --- per-step oracles on the decaying vortex --------------------------------
@@ -360,6 +386,18 @@ def test_no_complex_transform_anywhere(monkeypatch):
     assert v.run_checks()
     summary = run(tg_omega0(n=16), tg_config(n=16, dt=0.01, t_final=0.05))
     assert summary.steps == 5
+
+
+def test_records_never_change_the_trajectory(noise):
+    """A record's products go into the step's scratch stack; a BDF3 run
+    with a record every step ends on the same vorticity, bit for bit, as
+    one that records only its first and last steps."""
+    g = Grid(32)
+    omega0 = noise(g)
+    finals = [run(omega0, RunConfig(n=32, dt=1e-3, nu=NU, t_final=0.03,
+                                    series_every=every)).final_state.omega
+              for every in (1, 30)]
+    assert finals[0]._half.tobytes() == finals[1]._half.tobytes()
 
 
 @pytest.mark.parametrize("dealias", [False, True])
