@@ -96,6 +96,10 @@ _MAX_TRIALS = 10**8
 # about 10 min at N = 64 (0.6 ms a step), with no output until the end
 _MAX_STUDY_STEPS = 10**6
 
+# rung i of a study takes at least 2^i steps (t_final >= dt0), so L levels
+# take at least 2^L - 1: more levels than this always exceed the bound
+_MAX_LEVELS = (_MAX_STUDY_STEPS + 1).bit_length() - 1
+
 # a negative number as float() reads it, exponent forms and -inf included
 _NEGATIVE_NUMBER = re.compile(
     r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
@@ -249,6 +253,11 @@ def _run_with_series(opts, prefix: str, initial, n: int, dt: float,
 
 
 def _cmd_tg_convergence(opts) -> int:
+    if opts.levels > _MAX_LEVELS:  # before L step sizes are listed
+        raise ConfigError(f"--levels must be at most {_MAX_LEVELS}, got "
+                          f"{opts.levels}: L levels take at least 2^L - 1 "
+                          f"steps, and a study may take at most "
+                          f"{_MAX_STUDY_STEPS} steps")
     dts = [opts.dt0 * 2.0**-i for i in range(opts.levels)]
     scheme = _SCHEMES[opts.scheme]
     # check every rung, then open the output: neither a bad config nor an

@@ -13,11 +13,14 @@ omega: summation by parts turns <omega, div_N(u omega)> into
 This orthogonality is what controls aliasing in the analyzed scheme; no
 dealiasing is applied by default.
 
-One evaluation costs eight real transforms on half spectra (rfft2
-layout) in two numpy calls: five inverse (D_x omega, D_y omega, omega, u,
-v) and three forward (the advective product and the two fluxes). The
-physical omega, u and v stay cached on their fields: records read omega's,
-for max_omega, and observers and sinks may read all three.
+One evaluation makes its eight real 2-D transforms as fourteen 1-D plane
+passes in four numpy calls, in the scratch stacks: a 2-D real transform is
+a complex pass along k and a real pass along l, and D_y depends on l alone,
+so it commutes with the k pass. omega and D_y omega share one k pass, as
+do the two y-terms of the forward side, and no pass forms a full (N, N)
+spectrum. The physical omega, u and v stay cached on their fields, bit for
+bit their irfft2: records read omega's, for max_omega, and observers and
+sinks may read all three.
 """
 
 from __future__ import annotations
@@ -63,13 +66,15 @@ def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool,
             f"{d:.6e} exceeds {DIV_FREE_TOLERANCE:.1e} * ||omega||_2 = "
             f"{DIV_FREE_TOLERANCE * w_l2:.6e}")
     fields = (omega, vel.x, vel.y)
-    # one inverse call for D_x omega, D_y omega, omega, u and v
+    # inverse: a pass along k, in place, over D_x omega, omega, u and v,
+    # D_y omega from omega's plane, and a pass along l over all five
     np.multiply(w_h, grid._d1x, out=spec[0])
-    np.multiply(w_h, grid._d1y, out=spec[1])
-    for plane, f in zip(spec[2:], fields):
+    for plane, f in zip(spec[1:4], fields):
         plane[...] = f._half
-    np.fft.irfftn(spec, s=phys[0].shape, axes=(1, 2), norm="forward", out=phys)
-    for plane, f in zip(phys[2:], fields):
+    np.fft.ifft(spec[:4], axis=-2, norm="forward", out=spec[:4])
+    np.multiply(spec[1], grid._d1y, out=spec[4])
+    np.fft.irfft(spec, n=grid.n, axis=-1, norm="forward", out=phys)
+    for plane, f in zip(phys[1:4], fields):
         if f._phys is None:
             f._phys = plane.copy()
             f._phys.setflags(write=False)
@@ -77,15 +82,17 @@ def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool,
 
     # advective half: products pointwise, derivatives spectral
     adv = np.multiply(u, phys[0], out=phys[0])
-    adv += np.multiply(v, phys[1], out=phys[1])
+    adv += np.multiply(v, phys[4], out=phys[4])
     # flux half: transform the pointwise fluxes, differentiate spectrally
     np.multiply(u, w, out=phys[1])
     np.multiply(v, w, out=phys[2])
-    # an explicit shape spares numpy its per-call shape bookkeeping
-    np.fft.rfft2(phys[:3], s=phys[0].shape, norm="forward", out=spec[:3])
-    spec[0][0, 0] = 0.0  # mean correction applies to the advective half only
+    # forward: a pass along l over the three products, the D_y flux added
+    # to the advective plane, and a pass along k, in place, over two planes
+    np.fft.rfft(phys[:3], axis=-1, norm="forward", out=spec[:3])
+    spec[0] += np.multiply(spec[2], grid._d1y, out=spec[2])
+    np.fft.fft(spec[:2], axis=-2, norm="forward", out=spec[:2])
+    spec[0][0, 0] = 0.0  # the advective mean: D_y and D_x vanish there
     result = np.add(spec[0], np.multiply(spec[1], grid._d1x, out=spec[1]))
-    result += np.multiply(spec[2], grid._d1y, out=spec[2])
     if dealias:
         result *= grid.dealias_mask[:, :grid.n // 2 + 1]
     return result

@@ -20,10 +20,10 @@ third-order recurrence runs; this preserves third-order global accuracy.
 run() is the one way to advance a solution; its observer sees the flow
 state of every step from step 0 on, and the domain length comes from the
 initial vorticity's grid. It holds each history level as the half spectra
-(rfft2 layout) of w and N, so a step costs the eight real transforms of one
-convection evaluation, made in two numpy calls; the flow state it hands to
-observers and sinks is the one that evaluation read, with the physical
-omega, u and v it formed still cached.
+(rfft2 layout) of w and N, so a step costs the transforms of one convection
+evaluation, fourteen 1-D plane passes in four numpy calls; the flow state
+it hands to observers and sinks is the one that evaluation read, with the
+physical omega, u and v it formed still cached.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def _forcing_half(forcing, t: float, grid: Grid):
 
 def _convect(grid: Grid, w_h, t: float, dealias: bool, scratch):
     """Flow state at time t of a mean-free vorticity half spectrum and the
-    half spectrum of its convection N: eight real transforms, two calls."""
+    half spectrum of its convection N: fourteen 1-D passes, four calls."""
     flow = _assemble_state(grid, w_h, t)
     return flow, _skew_kernel(flow.vel, flow.omega, dealias, scratch)
 
@@ -270,17 +270,21 @@ def _march(omega0: ScalarField, cfg: RunConfig, forcing, scratch):
     grid = omega0.grid
     need = cfg.scheme.history_required
     w_h = _project_mean(np.array(omega0._half))
-    # the run's scheme and BDF2, which takes step 2
-    solvers = {s: _solver(grid, s, cfg.dt, cfg.nu)
-               for s in {cfg.scheme, SchemeId.IMEX_BDF2}}
+    solver = _solver(grid, cfg.scheme, cfg.dt, cfg.nu)
+    # BDF2 takes step 2 of a three-level scheme; its table is dropped then
+    startup = (_solver(grid, SchemeId.IMEX_BDF2, cfg.dt, cfg.nu)
+               if need > 2 else None)
     levels = ()
     for k in itertools.count():
         if k == 1 and need > 1:
             w_h = _midpoint_omega(grid, levels[0], cfg, forcing, scratch)
+        elif k > 0 and len(levels) < need:
+            w_h = _implicit_omega(grid, levels, startup, forcing, k * cfg.dt,
+                                  scratch)
+            startup = None
         elif k > 0:
-            scheme = cfg.scheme if len(levels) >= need else SchemeId.IMEX_BDF2
-            w_h = _implicit_omega(grid, levels, solvers[scheme], forcing,
-                                  k * cfg.dt, scratch)
+            w_h = _implicit_omega(grid, levels, solver, forcing, k * cfg.dt,
+                                  scratch)
         flow, conv_h = _convect(grid, w_h, k * cfg.dt, cfg.dealias, scratch)
         levels = ((w_h, conv_h),) + levels[:2]
         yield k, levels, flow

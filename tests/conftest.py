@@ -4,7 +4,10 @@ Random fields are drawn in spectral space with a power-law falloff and
 realized through a physical round trip so they are exactly real. Even-N
 grids zero their first-derivative Nyquist multipliers, so helpers default
 to Nyquist-free spectra; tests that probe the Nyquist behavior opt out.
+The fft_calls fixture counts the numpy.fft calls of a test.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -54,3 +57,32 @@ def divfree(rng):
         return perp_gradient(psi)
 
     return make
+
+
+FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+             "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+
+
+class FftCalls(dict):
+    """numpy.fft calls since the last take(): name -> the planes of each
+    call, the product of its input's leading dimensions."""
+
+    # the calls of one main-loop step, the convection's four 1-D passes
+    STEP = {"ifft": [4], "irfft": [5], "rfft": [3], "fft": [2]}
+
+    def take(self):
+        calls = dict(self)
+        self.clear()
+        return calls
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """An FftCalls that records every numpy.fft call from here on."""
+    calls = FftCalls()
+    for name in FFT_NAMES:
+        def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kw):
+            calls.setdefault(_name, []).append(math.prod(np.shape(a)[:-2]))
+            return _fn(a, *args, **kw)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

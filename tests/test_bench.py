@@ -1,7 +1,5 @@
 """Benchmark drivers: exact solutions, initial data, convergence tables."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -25,9 +23,6 @@ from vorspec import (
 from vorspec.bench import _ErrorAccumulator, _exact_stack
 from vorspec.integrators import RunConfig, run
 from vorspec.spectral import _moments
-
-FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
-             "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
 
 
 def test_dt_ladder_halves():
@@ -246,25 +241,17 @@ def test_stacked_error_observation_matches_per_variable_oracle(n, dt):
             assert abs(g - w) <= 1e-13 * w, (var, g, w)
 
 
-def test_convergence_observation_costs_no_transform(monkeypatch):
+def test_convergence_observation_costs_no_transform(monkeypatch, fft_calls):
     """Inside a whole study, every main-loop interval between observations
-    holds one step's 5 inverse and 3 forward real transforms, and the
-    error observation itself makes none."""
-    counts = {}
-    for name in FFT_NAMES:
-        def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kw):
-            counts.setdefault(_name, []).append(math.prod(np.shape(a)[:-2]))
-            return _fn(a, *args, **kw)
-        monkeypatch.setattr(np.fft, name, counted)
-
+    holds one step's four 1-D transform passes, and the error observation
+    itself makes none."""
     intervals = []
     observe = _ErrorAccumulator.observe
 
     def counted_observe(self, step, flow):
-        intervals.append((step, dict(counts)))
-        counts.clear()
+        intervals.append((step, fft_calls.take()))
         observe(self, step, flow)
-        assert counts == {}, step
+        assert fft_calls == {}, step
 
     monkeypatch.setattr(_ErrorAccumulator, "observe", counted_observe)
     rows = convergence_study(16, 1e-3, 0.1)
@@ -273,4 +260,4 @@ def test_convergence_observation_costs_no_transform(monkeypatch):
     # five rungs of 5, 10, 20, 40 and 80 steps
     assert len(main_loop) == 3 + 8 + 18 + 38 + 78
     for c in main_loop:
-        assert c == {"irfftn": [5], "rfft2": [3]}
+        assert c == fft_calls.STEP

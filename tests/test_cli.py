@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vorspec
+from vorspec import ConfigError
 from vorspec.cli import _COMMANDS, _resolve, build_parser, cli_main
 
 
@@ -473,3 +475,39 @@ def test_convergence_study_length_bounded(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "tg-convergence", "--output", str(out),
                          *small, "--levels", "3")
     assert code == 0 and seen == [[1e-5, 5e-6, 2.5e-6]]
+
+
+def test_convergence_levels_bounded_before_any_step_size(capsys, monkeypatch):
+    """More levels than any study within the step bound can have are
+    refused in one line that names --levels, before the step sizes are
+    listed; the bound is exact: L levels take at least 2^L - 1 steps."""
+    from vorspec import cli
+
+    assert 2**cli._MAX_LEVELS - 1 <= cli._MAX_STUDY_STEPS
+    assert 2**(cli._MAX_LEVELS + 1) - 1 > cli._MAX_STUDY_STEPS
+    listed = []
+
+    def stop(n, nu, t_final, dts, *args):  # no rung is checked or run
+        listed.append(len(dts))
+        raise ConfigError("stopped after listing the step sizes")
+
+    monkeypatch.setattr("vorspec.cli._rung_configs", stop)
+    # a list of 10^6 step sizes holds about 32 MB; 10^18 is never listed
+    for levels in (cli._MAX_LEVELS + 1, 10**6, 10**18):
+        tracemalloc.start()
+        try:
+            code, stdout, err = run_cli(capsys, "tg-convergence", "--levels",
+                                        str(levels))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        assert (code, stdout) == (2, "")
+        assert err.count("\n") == 1
+        assert f"--levels must be at most {cli._MAX_LEVELS}" in err
+        assert str(levels) in err
+    assert listed == []
+    code, _, err = run_cli(capsys, "tg-convergence", "--levels",
+                           str(cli._MAX_LEVELS))
+    assert code == 2 and "stopped after listing" in err
+    assert listed == [cli._MAX_LEVELS]

@@ -6,7 +6,7 @@ manufactured solution with genuinely active convection checks the global
 order of each scheme, startup chain included.
 """
 
-import math
+import weakref
 
 import numpy as np
 import pytest
@@ -342,50 +342,77 @@ def test_run_rejects_forcing_on_the_wrong_grid():
 # --- transform budget ----------------------------------------------------------
 
 
-FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
-             "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
-
-
-def test_run_step_costs_eight_real_transforms(monkeypatch):
-    """A main-loop BDF3 step makes 5 inverse and 3 forward real 2-D
-    transforms, one call each over stacked planes, and no complex one; a
-    diagnostics record makes none."""
+def test_run_step_costs_eight_real_transforms(fft_calls):
+    """A main-loop BDF3 step makes the eight real 2-D transforms of one
+    convection as four 1-D passes over stacked planes: a complex pass along
+    k over 4 planes and a real pass along l over 5 inverse, a real pass
+    over 3 and a complex one over 2 forward; a diagnostics record makes
+    none."""
     omega0 = tg_omega0()
-    counts = {}
-    for name in FFT_NAMES:
-        def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kw):
-            # planes of one call: the product of the input's leading dims
-            planes = math.prod(np.shape(a)[:-2])
-            counts.setdefault(_name, []).append(planes)
-            return _fn(a, *args, **kw)
-        monkeypatch.setattr(np.fft, name, counted)
-
     per_step = []
 
     def observe(k, flow):
-        per_step.append(dict(counts))
-        counts.clear()
+        per_step.append(fft_calls.take())
 
     # a record every second step: from step 3 on, every interval between
     # observer calls holds one step and, on odd steps, the previous record
     run(omega0, tg_config(dt=0.01, t_final=0.1, series_every=2),
         observer=observe)
     for k in range(3, 11):
-        assert per_step[k] == {"irfftn": [5], "rfft2": [3]}, k
-    assert counts == {}  # the record of the final step
+        assert per_step[k] == fft_calls.STEP, k
+    assert fft_calls == {}  # the record of the final step
 
 
-def test_no_complex_transform_anywhere(monkeypatch):
-    """Every field is real, so the package runs on real transforms alone:
-    the invariant suite and a BDF3 run pass with complex transforms gone."""
+def test_no_full_complex_spectrum(monkeypatch):
+    """Every field is real, so no transform forms a full (N, N) complex
+    spectrum: the complex and Hermitian 2-D and n-D transforms are never
+    called, and the complex 1-D passes run only along k (axis -2) of half
+    spectra, whose last axis holds N//2 + 1 columns. The invariant suite
+    and a BDF3 run pass under this."""
     def refuse(*args, **kwargs):
-        raise AssertionError("complex transform called")
+        raise AssertionError("full complex transform called")
 
-    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+    for name in ("fft2", "ifft2", "fftn", "ifftn", "hfft", "ihfft"):
         monkeypatch.setattr(np.fft, name, refuse)
+    passes = []
+    for name in ("fft", "ifft"):
+        def along_k(a, n=None, axis=-1, *args, _fn=getattr(np.fft, name),
+                    **kwargs):
+            shape = np.shape(a)
+            assert axis % len(shape) == len(shape) - 2, (axis, shape)
+            assert n is None or n == shape[-2], (n, shape)
+            assert shape[-1] == shape[-2] // 2 + 1, shape
+            passes.append(shape)
+            return _fn(a, n, axis, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, along_k)
     assert v.run_checks()
     summary = run(tg_omega0(n=16), tg_config(n=16, dt=0.01, t_final=0.05))
     assert summary.steps == 5
+    assert passes  # the passes along k did run under the check
+
+
+@pytest.mark.parametrize("scheme, kept", [(SchemeId.IMEX_BDF3, False),
+                                          (SchemeId.IMEX_BDF2, True)])
+def test_startup_solver_freed_after_step_two(monkeypatch, scheme, kept):
+    """The BDF2 reciprocal table that takes step 2 of the third-order
+    scheme is freed once that step is taken; a BDF2 run keeps it, as its
+    own, to the end."""
+    tables = {}
+    solver = integrators._solver
+
+    def tracked(grid, s, dt, nu):
+        built = solver(grid, s, dt, nu)
+        tables[s] = weakref.ref(built[2])
+        return built
+
+    monkeypatch.setattr(integrators, "_solver", tracked)
+    alive = []
+    run(tg_omega0(), tg_config(dt=0.01, t_final=0.1, scheme=scheme),
+        observer=lambda k, flow: alive.append(
+            tables[SchemeId.IMEX_BDF2]() is not None))
+    assert len(alive) == 11
+    assert alive[:2] == [True, True]
+    assert alive[2:] == [kept] * 9
 
 
 def test_records_never_change_the_trajectory(noise):
