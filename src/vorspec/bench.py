@@ -46,7 +46,7 @@ TG_DT_LADDER = (0.02, 0.01, 0.005, 0.0025, 0.00125)
 # a completed run whose final vorticity holds more than this share of its
 # enstrophy in the band the 2/3 rule cuts is noise: on the decaying vortex
 # at N = 64 clean runs hold below 1e-31 there, a run past the advective
-# stability limit (dt = 0.005) holds 9.5e-2
+# stability limit (dt = 0.005) 1e-3 to 0.5 (roundoff seeds it)
 POLLUTED_TAIL_FRACTION = 1e-10
 
 

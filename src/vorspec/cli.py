@@ -187,6 +187,8 @@ def _resolve(args: argparse.Namespace, table) -> argparse.Namespace:
     out = {}
     for name, kind, default in table:
         value = getattr(args, name)
+        if value == []:  # argparse reads the value of --opt=-- as []
+            raise ConfigError(f"--{name.replace('_', '-')} needs a value")
         raw = config.pop(name, None)  # consume even when a flag overrides it
         if value is None and raw is not None:
             value = _coerce(raw, kind, name)

@@ -216,6 +216,9 @@ def div_error(state: FlowState) -> float:
     return float(np.sqrt(_div_norm_sq(state.vel)))
 
 
+# the vorticity levels F and G1 read: the depth of every run's history
+_DEPTH = 3
+
 # the order of a Gram matrix's distinct entries in _functionals
 _GRAM_ORDER = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
@@ -262,10 +265,10 @@ def _functionals(history, nu: float, dt: float, grid=None, work=None):
     way to the cached one that l2_omega reads. Every level must be on grid
     (default: the first level's).
     """
-    hist = list(history)[:3]
+    hist = list(history)[:_DEPTH]
     if not hist:
         raise ValueError("history must contain at least one field")
-    hist += hist[-1:] * (3 - len(hist))  # pre-start levels repeat the oldest
+    hist += hist[-1:] * (_DEPTH - len(hist))  # pre-start: the oldest again
     grid = hist[0].grid if grid is None else grid
     if any(f.grid != grid for f in hist):
         raise GridMismatchError(f"history levels on {[f.grid for f in hist]}"

@@ -13,17 +13,17 @@ The skew convection term N counts the transport twice (advective plus flux
 form), so the extrapolation weights above are half the usual explicit
 multistep weights; their sums are 1/2, making each scheme consistent with
 the single transport term of the vorticity equation.
-The startup ladder computes w^1 with one explicit-midpoint RK2 step on the
-fully explicit right-hand side and w^2 with one BDF2 step, after which the
-third-order recurrence runs; this preserves third-order global accuracy.
+A startup schedule built before step 0 takes w^1 by one explicit-midpoint
+RK2 step and, for BDF3, w^2 by one BDF2 step, each rule dropped after its
+step; this preserves third-order global accuracy.
 
 run() is the one way to advance a solution; its observer sees the flow
 state of every step from step 0 on, and the domain length comes from the
-initial vorticity's grid. It holds each history level as the half spectra
-(rfft2 layout) of w and N, so a step costs the transforms of one convection
-evaluation, fourteen 1-D plane passes in four numpy calls; the flow state
-it hands to observers and sinks is the one that evaluation read, with the
-physical omega, u and v it formed still cached.
+initial vorticity's grid. Its one history, read by steps and records, is
+the three newest (omega field, N half spectrum in rfft2 layout) levels. A
+step costs the transforms of one convection evaluation, fourteen 1-D plane
+passes in four numpy calls; the flow state it hands to observers and sinks
+is the one that evaluation read, physical omega, u and v still cached.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .convection import _scratch, _skew_kernel
-from .diagnostics import SeriesRecord, make_record
+from .diagnostics import _DEPTH, SeriesRecord, make_record
 from .errors import BlowUpError, ConfigError
 from .fields import FlowState, _assemble_state, _check_mean, _project_mean
 from .spectral import Grid, ScalarField, _norm_sq, mean
@@ -221,17 +221,17 @@ def _implicit_omega(grid: Grid, levels, solver, forcing, t: float,
                     scratch):
     """Vorticity half spectrum at time t by one step of an IMEX scheme.
 
-    levels are newest-first (omega, N) half-spectrum pairs; levels beyond
-    the scheme's depth are ignored; solver is the scheme's _solver. The
-    right-hand side is summed in two planes of scratch's complex stack.
+    levels is _march's history; levels beyond the scheme's depth are
+    ignored; solver is the scheme's _solver. The right-hand side is summed
+    in two planes of scratch's complex stack.
     """
     w_weights, n_weights, inverse = solver
     f_h = _forcing_half(forcing, t, grid)
     rhs, tmp = scratch[0][:2]
     (c, (w, _)), *rest = zip(w_weights, levels)
-    np.multiply(c, w, out=rhs)
+    np.multiply(c, w._half, out=rhs)
     for c, (w, _) in rest:
-        rhs += np.multiply(c, w, out=tmp)
+        rhs += np.multiply(c, w._half, out=tmp)
     for c, (_, conv) in zip(n_weights, levels):
         rhs += np.multiply(c, conv, out=tmp)
     if f_h is not None:
@@ -246,10 +246,10 @@ def _explicit_rhs(grid: Grid, w_h, conv_h, nu: float, forcing, t: float):
     return rhs if f_h is None else rhs + f_h
 
 
-def _midpoint_omega(grid: Grid, level, cfg: RunConfig, forcing, scratch):
+def _midpoint_omega(grid: Grid, levels, cfg: RunConfig, forcing, scratch):
     """Vorticity half spectrum of step 1 by one explicit-midpoint step."""
-    w0, conv0 = level
-    dt, nu = cfg.dt, cfg.nu
+    (omega0, conv0), *_ = levels
+    w0, dt, nu = omega0._half, cfg.dt, cfg.nu
     k1 = _explicit_rhs(grid, w0, conv0, nu, forcing, 0.0)
     w_mid = _project_mean(w0 + 0.5 * dt * k1)
     _, conv_mid = _convect(grid, w_mid, 0.5 * dt, cfg.dealias, scratch)
@@ -260,33 +260,32 @@ def _midpoint_omega(grid: Grid, level, cfg: RunConfig, forcing, scratch):
 def _march(omega0: ScalarField, cfg: RunConfig, forcing, scratch):
     """Yield (k, levels, flow) for the steps k = 0, 1, 2, ... without end.
 
-    levels holds up to three newest-first (omega, N) half-spectrum pairs
-    ending at step k; flow is the FlowState of step k. A multistep scheme
-    takes step 1 by the explicit midpoint rule and, for three levels, step
-    2 by the two-level scheme. The two stacks of scratch
-    (convection._scratch) hold every temporary of a step and are free
+    flow is the FlowState of step k; levels, the run's one history, holds
+    the newest-first (flow.omega, N half spectrum) pairs of the last _DEPTH
+    steps. Steps 1 .. need - 1 run a schedule built before step 0: the
+    explicit midpoint at step 1, then at step j the j-level scheme, each
+    rule dropped with its table when its step runs. scratch
+    (convection._scratch) holds every temporary of a step and is free
     between yields; only the arrays handed out in levels and flow are fresh.
     """
-    grid = omega0.grid
-    need = cfg.scheme.history_required
+    grid, need = omega0.grid, cfg.scheme.history_required
+
+    def imex(scheme):
+        solver = _solver(grid, scheme, cfg.dt, cfg.nu)
+        return lambda levels, t: _implicit_omega(grid, levels, solver,
+                                                 forcing, t, scratch)
+
+    schedule = [lambda levels, t: _midpoint_omega(grid, levels, cfg, forcing,
+                                                  scratch)][:need - 1]
+    schedule += [imex(s) for s in SchemeId if 1 < s.history_required < need]
+    rule = imex(cfg.scheme)
     w_h = _project_mean(np.array(omega0._half))
-    solver = _solver(grid, cfg.scheme, cfg.dt, cfg.nu)
-    # BDF2 takes step 2 of a three-level scheme; its table is dropped then
-    startup = (_solver(grid, SchemeId.IMEX_BDF2, cfg.dt, cfg.nu)
-               if need > 2 else None)
     levels = ()
     for k in itertools.count():
-        if k == 1 and need > 1:
-            w_h = _midpoint_omega(grid, levels[0], cfg, forcing, scratch)
-        elif k > 0 and len(levels) < need:
-            w_h = _implicit_omega(grid, levels, startup, forcing, k * cfg.dt,
-                                  scratch)
-            startup = None
-        elif k > 0:
-            w_h = _implicit_omega(grid, levels, solver, forcing, k * cfg.dt,
-                                  scratch)
+        if k > 0:
+            w_h = (schedule.pop(0) if schedule else rule)(levels, k * cfg.dt)
         flow, conv_h = _convect(grid, w_h, k * cfg.dt, cfg.dealias, scratch)
-        levels = ((w_h, conv_h),) + levels[:2]
+        levels = ((flow.omega, conv_h),) + levels[:_DEPTH - 1]
         yield k, levels, flow
 
 
@@ -329,24 +328,22 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
     n_steps = cfg.n_steps
     records = []
     last_record = None
-    omegas = ()  # newest-first vorticity fields of the stored levels
     scratch = _scratch(grid)
     # a record's (4, K) products go into the complex stack, free between
     # steps, viewed as 5 float rows of K = the float count of a spectrum
     record_work = scratch[0].view(np.float64).reshape(5, -1)[:4]
     t0 = time.perf_counter()
-    for k, _, flow in _march(omega0, cfg, forcing, scratch):
+    for k, levels, flow in _march(omega0, cfg, forcing, scratch):
         # the convection's divergence precondition cached ||w||_2 on omega
         w_l2 = math.sqrt(_norm_sq(flow.omega))
         if k == 0:
             ref_l2 = w_l2
         _check_blowup(w_l2, ref_l2, k, last_record)
-        omegas = (flow.omega,) + omegas[:2]
         if observer is not None:
             observer(k, flow)
         if k % cfg.series_every == 0 or k == n_steps:
-            last_record = make_record(flow, history=omegas, nu=cfg.nu,
-                                      dt=cfg.dt, _work=record_work)
+            last_record = make_record(flow, [w for w, _ in levels],
+                                      cfg.nu, cfg.dt, _work=record_work)
             records.append(last_record)
             if series_sink is not None:
                 series_sink(last_record)

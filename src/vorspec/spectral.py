@@ -81,19 +81,27 @@ class Grid:
         k = self.wavenumbers.astype(float)
         kx = k[:, None]
         ky = k[None, :m]
-        two_pi_over_l = 2.0 * np.pi / self.length
-
-        d1 = 1j * two_pi_over_l * k
-        if self.n % 2 == 0:
-            d1[self.n // 2] = 0.0  # unmatched Nyquist mode has no odd partner
-        self._d1x = np.ascontiguousarray(np.broadcast_to(d1[:, None], (n, m)))
-        self._d1y = np.ascontiguousarray(np.broadcast_to(d1[None, :m], (n, m)))
-        self._ksq = two_pi_over_l**2 * (kx * kx + ky * ky)  # 4 pi^2 |k|^2 / L^2
-        # complex, so that a product with a half spectrum needs no casting
-        # buffer; 0 at k = 0
-        with np.errstate(divide="ignore"):
+        # numpy scalars and arrays, so that an extreme length leaves an inf
+        # or nan in a table rather than raising; checked below
+        with np.errstate(all="ignore"):
+            two_pi_over_l = 2.0 * np.pi / np.float64(self.length)
+            d1 = 1j * two_pi_over_l * k
+            if self.n % 2 == 0:
+                d1[self.n // 2] = 0.0  # unmatched Nyquist mode: no partner
+            # 4 pi^2 |k|^2 / L^2
+            self._ksq = two_pi_over_l**2 * (kx * kx + ky * ky)
+            # complex, so that a product with a half spectrum needs no
+            # casting buffer; 0 at k = 0
             self._inv_ksq = np.where(self._ksq > 0.0, 1.0 / self._ksq,
                                      0.0).astype(np.complex128)
+            # the largest ksq bounds |d1|^2; 1 over the smallest nonzero
+            # ksq, (2 pi / L)^2, is the largest entry of _inv_ksq
+            bounds = (self.length, self._ksq.max(), 1.0 / two_pi_over_l**2)
+        if not np.isfinite(bounds).all():
+            raise ValueError(f"domain length must be finite with finite mode "
+                             f"tables, got {length!r}")
+        self._d1x = np.ascontiguousarray(np.broadcast_to(d1[:, None], (n, m)))
+        self._d1y = np.ascontiguousarray(np.broadcast_to(d1[None, :m], (n, m)))
         # Parseval weights of the columns: every column but l = 0 and the
         # even-N Nyquist column also stands for its conjugate
         self._weight = np.full(m, 2.0)

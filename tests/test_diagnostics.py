@@ -5,12 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vorspec import diagnostics
+from vorspec import diagnostics, integrators
 from vorspec import (
     Grid,
     GridMismatchError,
     RunConfig,
     ScalarField,
+    SchemeId,
     SeriesRecord,
     TaylorGreenSpec,
     bdf3_stencil,
@@ -411,16 +412,18 @@ def test_div_error_reads_the_norm_the_step_took(noise):
         assert div_error(flow) == formula(flow)
 
 
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
 @pytest.mark.parametrize("n", [16, 64])
-def test_run_records_match_the_oracles(coeffs, noise, n):
-    """Records made inside a BDF3 run with active convection, one every
-    step, startup steps included: F and G1 match the per-mode reference
-    over the run's own levels, and h1_omega one _moments pass on a fresh
-    copy of the vorticity."""
+def test_run_records_match_the_oracles(coeffs, noise, n, scheme):
+    """Records made inside a run of each scheme with active convection, one
+    every step, startup steps included: F and G1 match the per-mode
+    reference over the run's own three newest levels, and h1_omega one
+    _moments pass on a fresh copy of the vorticity."""
     g = Grid(n)
     nu, dt = 1e-3, 1e-3
     omegas = []
-    summary = run(noise(g), RunConfig(n=n, dt=dt, nu=nu, t_final=0.01),
+    summary = run(noise(g), RunConfig(n=n, dt=dt, nu=nu, t_final=0.01,
+                                      scheme=scheme),
                   observer=lambda k, flow: omegas.append(flow.omega))
     assert len(summary.records) == len(omegas) == 11
     for k, rec in enumerate(summary.records):
@@ -430,6 +433,27 @@ def test_run_records_match_the_oracles(coeffs, noise, n):
         fresh = np.array(omegas[k]._half)
         assert rec.h1_omega == pytest.approx(
             np.sqrt(_moments(g, fresh, fresh)[1]), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_record_history_is_the_observed_fields(monkeypatch, noise, scheme):
+    """The history each record is handed holds the very ScalarFields the
+    observer saw at steps k, k-1 and k-2, in every scheme: run() keeps no
+    copy of its own and rebuilds no level."""
+    omegas, histories = [], []
+
+    def recording(state, history, *args, **kwargs):
+        histories.append(list(history))
+        return make_record(state, history, *args, **kwargs)
+
+    monkeypatch.setattr(integrators, "make_record", recording)
+    run(noise(Grid(16)), RunConfig(n=16, dt=1e-3, nu=1e-3, t_final=0.006,
+                                   scheme=scheme),
+        observer=lambda k, flow: omegas.append(flow.omega))
+    assert len(histories) == len(omegas) == 7
+    for k, hist in enumerate(histories):
+        expected = omegas[max(0, k - 2):k + 1][::-1]
+        assert [id(f) for f in hist] == [id(f) for f in expected]
 
 
 # traced bytes a record may add, measured at about 2.4 kB a record and

@@ -47,6 +47,17 @@ def test_grid_rejects_bad_sizes():
         Grid(-4)
     with pytest.raises(ValueError):
         Grid(16, length=0.0)
+    # an infinite or nan length, or one whose spacing or wavenumber tables
+    # overflow to inf or nan or underflow to zero, names the length in one
+    # ValueError, without a RuntimeWarning
+    for length in (float("inf"), float("nan"), 1e-310, 1e160, 1e-160,
+                   1e170):
+        with pytest.raises(ValueError, match="domain length"):
+            Grid(8, length=length)
+    for length in (1e-100, 1e150):
+        g = Grid(8, length=length)
+        for table in (g._d1x, g._d1y, g._ksq, g._inv_ksq):
+            assert np.isfinite(table).all()
 
 
 def test_grid_equality_and_hash():
