@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import re
 import sys
 from typing import Optional
 
@@ -100,9 +99,18 @@ _MAX_STUDY_STEPS = 10**6
 # take at least 2^L - 1: more levels than this always exceed the bound
 _MAX_LEVELS = (_MAX_STUDY_STEPS + 1).bit_length() - 1
 
-# a negative number as float() reads it, exponent forms and -inf included
-_NEGATIVE_NUMBER = re.compile(
-    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+class _NegativeNumber:
+    """argparse's negative-number matcher, of which it calls only match:
+    a word that begins with '-' and that float() reads, so Python's own
+    number grammar decides (exponents, digit-group underscores, blanks)."""
+    @staticmethod
+    def match(word):
+        try:
+            float(word)
+        except ValueError:
+            return False
+        return word.startswith("-")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,7 +119,7 @@ class _Parser(argparse.ArgumentParser):
     RunConfig and the option checks report a bad one."""
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
+        self._negative_number_matcher = _NegativeNumber
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")

@@ -256,14 +256,15 @@ def _functionals(history, nu: float, dt: float, grid=None, work=None):
 
     at m = 0, (r1, r2) = (7/8, 5/24), e = (7/4, 15/32, 13/64) and at
     m = 1, (r1, r2) = (5/6, 1/6), e = (37/24, 17/48, 17/96): quadratic
-    forms in the levels, read off their H^m Gram matrices. The products
-    w0 w0, w0 w1, w0 w2 and w1 w2 of the levels' interleaved float views go
-    into one (4, K) array, work when given (a float array of that shape),
-    and one product with the grid's Parseval table gives all their L2, H1
-    and H2 moments. The diagonals are read through the levels' norm caches,
-    which w0's H1 and H2 from the product join first; its L2 moment gives
-    way to the cached one that l2_omega reads. Every level must be on grid
-    (default: the first level's).
+    forms in the levels, read off their H^m Gram matrices. The cross
+    products w0 w1, w0 w2 and w1 w2 of the levels' interleaved float views
+    go into the first three rows of one (4, K) array, work when given (a
+    float array of that shape), and one product with the grid's Parseval
+    table gives their L2, H1 and H2 moments. The diagonals are the levels'
+    norms, read through _norm_sq, whose H1 and H2 pass uses the fourth
+    row: the one producer of a norm, so a record's digits do not depend on
+    what took a norm first. Every level must be on grid (default: the
+    first level's).
     """
     hist = list(history)[:_DEPTH]
     if not hist:
@@ -276,14 +277,11 @@ def _functionals(history, nu: float, dt: float, grid=None, work=None):
     w0, w1, w2 = (np.ascontiguousarray(f._half).view(np.float64).ravel()
                   for f in hist)
     prod = np.empty((4, w0.size)) if work is None else work
-    for row, (a, b) in zip(prod, ((w0, w0), (w0, w1), (w0, w2), (w1, w2))):
+    for row, (a, b) in zip(prod, ((w0, w1), (w0, w2), (w1, w2))):
         np.multiply(a, b, out=row)
-    (_, h1, h2), *cross = (prod @ _parseval_table(grid).T).tolist()
-    norms = hist[0]._norms
-    norms.setdefault(1, h1)
-    norms.setdefault(2, h2)
+    cross = (prod[:3] @ _parseval_table(grid).T).tolist()
     # [m] = the Gram entries in _GRAM_ORDER
-    gram = [[_norm_sq(f, m) for f in hist] + [c[m] for c in cross]
+    gram = [[_norm_sq(f, m, prod[3]) for f in hist] + [c[m] for c in cross]
             for m in range(3)]
     return tuple(sum(q * g for q, g in zip(qs, gram[m]))
                  + nu * dt * sum(e * g for e, g in zip(es, gram[m + 1]))
@@ -334,10 +332,11 @@ def make_record(state: FlowState, history=None, nu: float = 0.0,
     history carries the vorticity levels (newest-first) for the stability
     functionals; when omitted only the current vorticity is used. Every
     column but max_omega comes from the spectral views by Parseval, so the
-    flow states and history that run() hands out cost no transform, and
-    norms the step, the functionals or an earlier record took are read
-    from the fields. _work is run()'s buffer for the products of
-    _functionals; without it a record allocates its own.
+    flow states and history that run() hands out cost no transform. Norm
+    columns come from the functions that define them (l2_omega is
+    hm_norm(omega, 0)), so they are those functions' bits. _work is run()'s
+    buffer for the products of _functionals; without it a record allocates
+    its own.
     """
     if history is None:
         history = [state.omega]
@@ -346,10 +345,10 @@ def make_record(state: FlowState, history=None, nu: float = 0.0,
     p = omega.physical
     return SeriesRecord(
         t=state.time,
-        l2_omega=math.sqrt(_norm_sq(omega)),
-        h1_omega=math.sqrt(_norm_sq(omega, 1)),
+        l2_omega=hm_norm(omega, 0),
+        h1_omega=hm_norm(omega, 1),
         energy=energy(state),
-        enstrophy=0.5 * _norm_sq(omega),
+        enstrophy=enstrophy(state),
         div_error=div_error(state),
         max_omega=float(max(p.max(), -p.min())),
         F=F,

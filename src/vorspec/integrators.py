@@ -282,9 +282,14 @@ def _march(omega0: ScalarField, cfg: RunConfig, forcing, scratch):
     w_h = _project_mean(np.array(omega0._half))
     levels = ()
     for k in itertools.count():
-        if k > 0:
-            w_h = (schedule.pop(0) if schedule else rule)(levels, k * cfg.dt)
-        flow, conv_h = _convect(grid, w_h, k * cfg.dt, cfg.dealias, scratch)
+        # an overflowing step leaves inf or nan for run()'s blow-up guard to
+        # report; the caller's code between yields keeps its own errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            if k > 0:
+                w_h = (schedule.pop(0) if schedule else rule)(levels,
+                                                              k * cfg.dt)
+            flow, conv_h = _convect(grid, w_h, k * cfg.dt, cfg.dealias,
+                                    scratch)
         levels = ((flow.omega, conv_h),) + levels[:_DEPTH - 1]
         yield k, levels, flow
 
@@ -329,8 +334,8 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
     records = []
     last_record = None
     scratch = _scratch(grid)
-    # a record's (4, K) products go into the complex stack, free between
-    # steps, viewed as 5 float rows of K = the float count of a spectrum
+    # a record's 3 cross products and 1 norm product go into the complex
+    # stack, free between steps, viewed as 5 float rows of K = its floats
     record_work = scratch[0].view(np.float64).reshape(5, -1)[:4]
     t0 = time.perf_counter()
     for k, levels, flow in _march(omega0, cfg, forcing, scratch):

@@ -410,23 +410,24 @@ def _parseval_table(grid: Grid):
     return grid._parseval
 
 
-def _moments(grid: Grid, a, b):
+def _moments(grid: Grid, a, b, out=None):
     """Re<a, b> in L2, H1 and H2 of two half spectra: one pass of the grid's
-    Parseval table over the interleaved float view."""
-    prod = (np.ascontiguousarray(a).view(np.float64)
-            * np.ascontiguousarray(b).view(np.float64))
-    return _parseval_table(grid) @ prod.ravel()
+    Parseval table over the product of their interleaved float views, made
+    in out when given (a float array of that size)."""
+    a, b = (np.ascontiguousarray(x).view(np.float64).ravel() for x in (a, b))
+    return _parseval_table(grid) @ np.multiply(a, b, out=out)
 
 
-def _norm_sq(field: ScalarField, m: int = 0) -> float:
+def _norm_sq(field: ScalarField, m: int = 0, out=None) -> float:
     """Squared discrete H^m seminorm (L2 for m = 0) of a field by Parseval,
-    cached on the field. H1 and H2 come together from one _moments pass;
-    L2, which every step takes, from the cheaper _half_norm_sq."""
+    cached on the field by this one producer, so its bits never depend on
+    who asks first. H1 and H2 come together from one _moments pass (its
+    product in out); L2, which every step takes, from _half_norm_sq."""
     norms = field._norms
     if m not in norms:
         g, h = field.grid, field._half
         if m in (1, 2):
-            _, norms[1], norms[2] = _moments(g, h, h).tolist()
+            _, norms[1], norms[2] = _moments(g, h, h, out).tolist()
         else:
             norms[m] = _half_norm_sq(g, h if m == 0 else h * g._ksq**(m / 2))
     return norms[m]

@@ -88,6 +88,14 @@ def test_blowup_exit_code(capsys):
     assert "blew up" in err
 
 
+@pytest.mark.parametrize("delta", ["1e300", "1e150"])
+def test_overflowing_run_exits_1_in_one_line(capsys, delta):
+    code, _, err = run_cli(capsys, "shear-layer", "--delta", delta,
+                           "--n", "8", "--t-final", "0.0016")
+    assert code == 1
+    assert err.count("\n") == 1 and "blew up" in err
+
+
 def test_shear_layer_snapshots(tmp_path, capsys):
     snap_dir = tmp_path / "snaps"
     code, _, err = run_cli(

@@ -13,6 +13,7 @@ from vorspec import (
     ScalarField,
     SchemeId,
     SeriesRecord,
+    SHEAR_LAYER_CASES,
     TaylorGreenSpec,
     bdf3_stencil,
     div_error,
@@ -24,6 +25,7 @@ from vorspec import (
     make_record,
     make_state,
     run,
+    shear_layer_init,
     stability_F,
     stability_G1,
     taylor_green_exact,
@@ -433,6 +435,38 @@ def test_run_records_match_the_oracles(coeffs, noise, n, scheme):
         fresh = np.array(omegas[k]._half)
         assert rec.h1_omega == pytest.approx(
             np.sqrt(_moments(g, fresh, fresh)[1]), rel=1e-14, abs=0.0)
+
+
+# observers that take norms of a step's vorticity before its record does
+_NORM_TAKERS = {
+    "none": None,
+    "h1": lambda k, flow: hm_norm(flow.omega, 1),
+    "h2": lambda k, flow: hm_norm(flow.omega, 2),
+    "F": lambda k, flow: stability_F([flow.omega], nu=1e-4, dt=8e-4),
+    "record": lambda k, flow: make_record(flow),
+}
+
+
+def test_records_do_not_depend_on_cadence_or_observers():
+    """Thick layer, N = 32, 42 steps: a record at step k is the every-step,
+    unobserved run's record at k bit for bit, whatever the cadence and
+    whichever norms an observer took first; each norm has one producer."""
+    spec, _, dt = SHEAR_LAYER_CASES["thick"]
+    omega0 = shear_layer_init(Grid(32), spec)
+
+    def records(every, observer):
+        cfg = RunConfig(n=32, dt=dt, nu=spec.nu, t_final=42 * dt,
+                        series_every=every)
+        return run(omega0, cfg, observer=observer).records
+
+    want = records(1, None)
+    for every in (1, 3, 7, 10):
+        for name, observer in _NORM_TAKERS.items():
+            got = records(every, observer)
+            steps = [round(r.t / dt) for r in got]
+            assert steps == sorted({*range(0, 43, every), 42}), (every, name)
+            for k, rec in zip(steps, got):
+                assert rec == want[k], (every, name, k)
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)

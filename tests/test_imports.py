@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import vorspec
@@ -77,3 +78,20 @@ def test_every_public_name_resolves():
     missing = [f"{m.__name__}.{name}" for m in modules
                for name in m.__all__ if not hasattr(m, name)]
     assert missing == []
+
+
+# the norm caches of ScalarField and VectorField, which spectral._norm_sq
+# and spectral._div_norm_sq alone fill, so that a norm's bits never depend
+# on which caller took it first
+CACHE_NAMES = re.compile(r"\b(_norms|_div_sq)\b")
+
+
+def test_only_spectral_touches_the_norm_caches():
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(paths) >= 10, f"package sources not found in {PACKAGE_DIR}"
+    found = [f"{path.name}:{line}" for path in paths
+             if path.name != "spectral.py"
+             for line, text in enumerate(
+                 path.read_text(encoding="utf-8").splitlines(), 1)
+             if CACHE_NAMES.search(text)]
+    assert found == []

@@ -318,6 +318,24 @@ def test_blowup_raises_with_context():
     assert err.last_record == recs[-1]
 
 
+@pytest.mark.parametrize("delta, step", [(1e300, 0), (1e150, 1)])
+def test_overflow_ends_in_the_blowup_guard_alone(delta, step):
+    """A shear layer whose convection overflows raises BlowUpError at the
+    step it fails, with no numpy warning (the suite makes warnings
+    errors); observers and sinks still run under the caller's errstate."""
+    g = Grid(8)
+    spec = v.ShearLayerSpec(rho=30.0, delta=delta, nu=1e-4)
+    cfg = RunConfig(n=8, dt=8e-4, nu=1e-4, t_final=0.0016)
+    outer, seen = np.geterr(), []
+    with pytest.raises(BlowUpError) as info:
+        run(v.shear_layer_init(g, spec), cfg,
+            observer=lambda k, flow: seen.append(np.geterr()),
+            series_sink=lambda rec: seen.append(np.geterr()))
+    assert info.value.step == step
+    assert len(seen) == 2 * step
+    assert all(errstate == outer for errstate in seen)
+
+
 def test_forcing_balances_decay():
     # f = -nu Lap w0 freezes the vortex exactly (convection vanishes)
     g = Grid(16)

@@ -77,16 +77,20 @@ TRIALS_CAP = 10**8
 # at most 80 kB over 600 draws; listing 10^6 step sizes alone takes 32 MB
 REJECTED_PEAK_BOUND = 256 * 1024
 
-# numbers as Python writes them: huge and tiny, exponent forms, signed
+# numbers as float() reads them: huge and tiny, exponent forms, signed,
+# with digit-group underscores or a trailing blank
 INTEGERS = st.one_of(st.sampled_from(["0", "-0", "-1", "3", "19", "20",
-                                      "1000000", "10" * 20]),
+                                      "1000000", "10" * 20, "-1_000",
+                                      "-7\t", "1_0 "]),
                      st.integers(-10**40, 10**40).map(str))
 NUMBERS = st.one_of(
     INTEGERS,
     st.sampled_from(["1e6", "1e9", "1e18", "-1e5", "-2.5E-3", "1e-400",
                      "1e308", "1e999", "nan", "-nan", "inf", "-inf",
-                     "-Infinity"]),
+                     "-Infinity", "-1_000.5", "-2.5e-3\t", "-1 ",
+                     "-0.5\n"]),
     st.floats().map(repr),
+    st.floats().map(lambda x: repr(x) + "\t"),
 )
 # text: blanks, Unicode digits and any UTF-8 character
 TEXT = st.one_of(st.sampled_from(["", " ", "1_000", "0x10", "٣",
@@ -126,13 +130,13 @@ def _draw_of(name, **values):
 
 
 def _is_number_text(value):
-    """Whether value is a number as Python writes one: float() reads it,
-    and it holds no blank, underscore or non-ASCII digit."""
+    """Whether float() reads value, so that it is a number to the CLI too,
+    digit-group underscores, blanks and non-ASCII digits included."""
     try:
         float(value)
     except ValueError:
         return False
-    return value.strip() == value and value.isascii() and "_" not in value
+    return True
 
 
 def _argv(name, opts, via_config):
@@ -184,11 +188,13 @@ def _stubs():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(draw=command_draws(), via_config=st.booleans())
 # inputs the command line once mishandled, one at a time: a study of 10^6
-# step sizes, a study past the step cap, a negative number in exponent
-# form, and the value "--", which argparse reads as an empty list
+# step sizes, a study past the step cap, negative numbers in exponent form
+# and with digit-group underscores, and the value "--", which argparse
+# reads as an empty list
 @example(draw=_draw_of("tg-convergence", levels="1000000"), via_config=False)
 @example(draw=_draw_of("tg-convergence", t_final="1e9"), via_config=False)
 @example(draw=_draw_of("tg-longrun", dt="-1e5"), via_config=False)
+@example(draw=_draw_of("tg-longrun", dt="-1_000"), via_config=False)
 @example(draw=_draw_of("shear-layer", t_final="--"), via_config=False)
 def test_cli_exit_contract_over_hostile_draws(draw, via_config):
     """Any draw from the option tables, as flags or as a config file, ends

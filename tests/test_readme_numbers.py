@@ -1,23 +1,30 @@
 """The measured numbers of the README's "Criterion 1" and "Stability limit"
-sections, recomputed on the decaying vortex (nu = 1e-3, T = 1).
+sections, recomputed on the decaying vortex (nu = 1e-3, T = 1), on the two
+benchmark shear layers' initial states and on the scheme's
+frozen-coefficient polynomial.
 
 A deterministic value must appear in those sections as formatted here.
-Roundoff seeds the blow-up steps, the polluted errors and the polluted tail
-fraction, so the README states each as a range: the test checks that the
-README states the range and that the computed value lies in it. A
-blow-up range must also allow the roundoff seed to be 100 times larger or
-smaller, that is log 100 / log g steps either way at the measured growth g
-per step.
+Roundoff seeds the blow-up steps, the polluted errors, the polluted tail
+fraction and the N = 64 to N = 8 cross-check differences, so the README
+states each as a range: the test checks that the README states the range
+and that the computed value lies in it. A blow-up range must also allow
+the roundoff seed to be 100 times larger or smaller, that is log 100 /
+log g steps either way at the measured growth g per step; a cross-check
+range spans the decade around its measured value. The N = 8 orders are
+stated as ranges too, their bounds the computed extremes rounded outward
+to two decimals.
 """
 
 import math
 import statistics
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vorspec import (BlowUpError, Grid, RunConfig, TaylorGreenSpec,
-                     convergence_study, l2_norm, run, taylor_green_exact)
+from vorspec import (SHEAR_LAYER_CASES, TG_DT_LADDER, BlowUpError, Grid,
+                     RunConfig, TaylorGreenSpec, convergence_study, l2_norm,
+                     make_state, run, shear_layer_init, taylor_green_exact)
 from vorspec import bench
 from vorspec.bench import POLLUTED_TAIL_FRACTION, _tail_fraction
 
@@ -32,6 +39,11 @@ BLOWUP_RANGES = {(0.02, False): (30, 38), (0.01, False): (49, 63),
 POLLUTED_ERROR = (0.1, 10.0)
 POLLUTED_TAIL = (1e-3, 0.5)
 CLEAN_TAIL_BOUND = 1e-31
+# the README's ranges of the largest relative difference between the
+# N = 64 and N = 8 errors on the two rungs stable on both grids, in the
+# max-over-steps L2 and the accumulated H1 norm
+CROSS_L2 = (3e-8, 3e-7)
+CROSS_H1 = (1e-4, 1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -76,9 +88,11 @@ def _sci(x):
     return f"{mantissa}e{int(exponent)}"
 
 
-def _theta(n, dt):
-    """Advective number max|u| (2 pi / L) (N/2 - 1) dt of the vortex."""
-    vel = taylor_green_exact(Grid(n), TaylorGreenSpec(nu=NU)).vel
+def _theta(n, dt, vel=None):
+    """Advective number max|u| (2 pi / L) (N/2 - 1) dt of a velocity on
+    the unit square, by default the vortex's."""
+    if vel is None:
+        vel = taylor_green_exact(Grid(n), TaylorGreenSpec(nu=NU)).vel
     umax = max(abs(vel.x.physical).max(), abs(vel.y.physical).max())
     return umax * 2.0 * math.pi * (n // 2 - 1) * dt
 
@@ -114,12 +128,12 @@ def ladder():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bench, "run", keeping)
-        rows = convergence_study(64, NU, 1.0, (0.005, 0.0025, 0.00125))
-    return {r.dt: r for r in rows if r.variable == "omega"}, finals
+        rows = convergence_study(64, NU, 1.0, TG_DT_LADDER[-3:])
+    return {r.dt: r for r in rows if r.variable == "omega"}, finals, rows
 
 
 def test_ladder_numbers_match_the_readme(sections, ladder):
-    rows, _ = ladder
+    rows, _, _ = ladder
     assert rows[0.005].status == "polluted"
     assert rows[0.0025].status == rows[0.00125].status == "ok"
     errors = [f"{rows[dt].err_linf_l2:.1e}" for dt in (0.0025, 0.00125)]
@@ -134,7 +148,7 @@ def test_ladder_numbers_match_the_readme(sections, ladder):
 
 
 def test_polluted_runs_match_the_readme(sections, ladder):
-    rows, finals = ladder
+    rows, finals, _ = ladder
     error = "between {:g} and {:g}".format(*POLLUTED_ERROR)
     for text in (f"order one, {error} for",
                  f"| completes, polluted (L2 error {error}, pure noise) |",
@@ -152,3 +166,80 @@ def test_polluted_runs_match_the_readme(sections, ladder):
     final, errors = _vortex_run(32, 0.02)
     assert _tail_fraction(final.omega) > POLLUTED_TAIL_FRACTION
     assert POLLUTED_ERROR[0] <= max(errors) <= POLLUTED_ERROR[1]
+
+
+def _outward(lo, hi):
+    """The range [lo, hi] with its bounds rounded outward to two decimals."""
+    return (f"{math.floor(lo * 100.0) / 100.0:.2f} to "
+            f"{math.ceil(hi * 100.0) / 100.0:.2f}")
+
+
+def test_n8_orders_and_cross_check_match_the_readme(sections, ladder):
+    """Criterion 1's N = 8 ladder: the orders of its last three refinements
+    in both norms, the rung of the lowest H1 order, and the N = 64 rungs'
+    relative differences from it."""
+    rows = convergence_study(8, NU, 1.0, TG_DT_LADDER)
+    fine = [r for r in rows if r.dt in TG_DT_LADDER[-3:]]
+    linf = [r.order_linf for r in fine]
+    h1 = [r.order_l2_h1 for r in fine]
+    assert f"orders lie within {_outward(min(linf), max(linf))} in the " \
+           f"max-over-steps L2 norm and within {_outward(min(h1), max(h1))}" \
+           f" in the accumulated H1 norm" in sections
+    for var in ("omega", "psi", "u"):
+        lowest = min((r for r in fine if r.variable == var),
+                     key=lambda r: r.order_l2_h1)
+        assert lowest.dt == TG_DT_LADDER[-1], var
+    on_n8 = {(r.dt, r.variable): r for r in rows}
+    _, _, cross = ladder
+    diffs = [[abs(got - want) / want for got, want in (
+        (r.err_linf_l2, on_n8[r.dt, r.variable].err_linf_l2),
+        (r.err_l2_h1, on_n8[r.dt, r.variable].err_l2_h1))]
+        for r in cross if r.dt in TG_DT_LADDER[-2:]]
+    worst_l2, worst_h1 = np.max(diffs, axis=0)
+    assert CROSS_L2[0] <= worst_l2 <= CROSS_L2[1]
+    assert CROSS_H1[0] <= worst_h1 <= CROSS_H1[1]
+    l2, h1 = ("between {} and {}".format(*map(_sci, r))
+              for r in (CROSS_L2, CROSS_H1))
+    for text in (f"agree to {l2} relative",
+                 f"max-L2 to 1e-6 relative, measured {l2}; accumulated H1 "
+                 f"to 1e-2, measured {h1}"):
+        assert text in sections
+
+
+def test_shear_layer_thetas_match_the_readme(sections):
+    thetas = []
+    for case in ("thick", "thin"):
+        spec, n, dt = SHEAR_LAYER_CASES[case]
+        vel = make_state(shear_layer_init(Grid(n), spec), 0.0).vel
+        thetas.append(_theta(n, dt, vel))
+    assert "theta = {:.3f} and {:.3f} for the thick and thin".format(
+        *thetas) in sections
+    assert len({f"{t:.2f}" for t in thetas}) == 1
+    assert f"about {thetas[0]:.2f} for both" in sections
+
+
+def _root_radius(theta):
+    """Largest root modulus of 11/6 z^3 - 3 z^2 + 3/2 z - 1/3
+    - i theta (3 z^2 - 3 z + 1): BDF3 with (3, -3, 1) extrapolated
+    convection, frozen at advective number theta."""
+    bdf = np.array([11.0 / 6.0, -3.0, 1.5, -1.0 / 3.0])
+    extrapolation = np.array([0.0, 3.0, -3.0, 1.0])
+    return np.abs(np.roots(bdf - 1j * theta * extrapolation)).max()
+
+
+def test_critical_theta_matches_the_readme(sections):
+    """The largest theta below which every root stays in the closed unit
+    disc: a scan by 0.01 to the first theta outside, then bisection."""
+    def inside(theta):
+        return _root_radius(theta) <= 1.0 + 1e-12
+
+    scan = np.arange(0.0, 2.0, 0.01)
+    first_out = next(i for i, theta in enumerate(scan) if not inside(theta))
+    lo, hi = scan[first_out - 1], scan[first_out]
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    assert f"{lo:.3f}" == "0.634"
+    for text in (f"up to theta of about {lo:.2f}",
+                 f"critical advective number of about {lo:.2f}"):
+        assert text in sections
