@@ -26,7 +26,7 @@ from .bench import (SHEAR_LAYER_CASES, ShearLayerSpec, TaylorGreenSpec,
 from .checks import run_checks
 from .diagnostics import get_telescope_coefficients, verify_telescope
 from .errors import BlowUpError, ConfigError
-from .integrators import RunConfig, SchemeId, run
+from .integrators import RunConfig, SchemeId, _check_initial_norm, run
 from .output import CsvSeriesWriter, format_float, write_pgm, write_raw
 from .spectral import Grid
 
@@ -237,14 +237,15 @@ def _snapshot_sink(directory: str, prefix: str, fmt: str):
 
 def _run_with_series(opts, prefix: str, initial, n: int, dt: float,
                      nu: float) -> int:
-    """Check the run's config, then run from initial(Grid(n)) with the
-    series and snapshot outputs of opts."""
+    """Check the run's config and initial(Grid(n)), then run from it with
+    the series and snapshot outputs of opts."""
     cfg = RunConfig(n=n, dt=dt, nu=nu, t_final=opts.t_final,
                     scheme=_SCHEMES[opts.scheme],
                     series_every=opts.series_every,
                     snapshot_every=opts.snapshot_every,
                     dealias=opts.dealias)
     omega0 = initial(Grid(n))
+    _check_initial_norm(omega0)
     snap = None
     if opts.snapshot_every > 0:
         snap = _snapshot_sink(opts.snapshot_dir, prefix, opts.snapshot_format)

@@ -18,9 +18,9 @@ passes in four numpy calls, in the scratch stacks: a 2-D real transform is
 a complex pass along k and a real pass along l, and D_y depends on l alone,
 so it commutes with the k pass. omega and D_y omega share one k pass, as
 do the two y-terms of the forward side, and no pass forms a full (N, N)
-spectrum. The physical omega, u and v stay cached on their fields, bit for
-bit their irfft2: records read omega's, for max_omega, and observers and
-sinks may read all three.
+spectrum. Only omega's node values stay cached on its field, bit for bit
+its irfft2, since records read them for max_omega; u and v are read from
+the scratch planes, and their fields form node values only on request.
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool,
 
     Checks the divergence precondition by Parseval on the half spectra
     before any transform, leaving ||omega||_2 cached on omega for run()'s
-    blow-up guard and ||div u||_2 on vel for the records. A field without
-    a physical view gets a fresh copy of its inverse-transformed plane; a
-    cached view is kept. Every temporary lives in the two stacks of scratch
-    (see _scratch), which a caller may reuse.
+    blow-up guard and ||div u||_2 on vel for the records. omega without a
+    physical view gets a fresh copy of its inverse-transformed plane, and a
+    cached one is kept and read; u and v are always read from their planes,
+    and their fields get no view. Every temporary lives in the two stacks
+    of scratch (see _scratch), which a caller may reuse.
     """
     grid = omega.grid
     w_h = omega._half
@@ -65,27 +66,25 @@ def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool,
             f"velocity is not discretely divergence-free: ||div u||_2 = "
             f"{d:.6e} exceeds {DIV_FREE_TOLERANCE:.1e} * ||omega||_2 = "
             f"{DIV_FREE_TOLERANCE * w_l2:.6e}")
-    fields = (omega, vel.x, vel.y)
     # inverse: a pass along k, in place, over D_x omega, omega, u and v,
     # D_y omega from omega's plane, and a pass along l over all five
     np.multiply(w_h, grid._d1x, out=spec[0])
-    for plane, f in zip(spec[1:4], fields):
+    for plane, f in zip(spec[1:4], (omega, vel.x, vel.y)):
         plane[...] = f._half
     np.fft.ifft(spec[:4], axis=-2, norm="forward", out=spec[:4])
     np.multiply(spec[1], grid._d1y, out=spec[4])
     np.fft.irfft(spec, n=grid.n, axis=-1, norm="forward", out=phys)
-    for plane, f in zip(phys[1:4], fields):
-        if f._phys is None:
-            f._phys = plane.copy()
-            f._phys.setflags(write=False)
-    w, u, v = (f._phys for f in fields)
+    if omega._phys is None:
+        omega._phys = phys[1].copy()
+        omega._phys.setflags(write=False)
+    w, u, v = omega._phys, phys[2], phys[3]
 
     # advective half: products pointwise, derivatives spectral
     adv = np.multiply(u, phys[0], out=phys[0])
     adv += np.multiply(v, phys[4], out=phys[4])
     # flux half: transform the pointwise fluxes, differentiate spectrally
     np.multiply(u, w, out=phys[1])
-    np.multiply(v, w, out=phys[2])
+    np.multiply(v, w, out=phys[2])  # u's plane, read for the last time above
     # forward: a pass along l over the three products, the D_y flux added
     # to the advective plane, and a pass along k, in place, over two planes
     np.fft.rfft(phys[:3], axis=-1, norm="forward", out=spec[:3])

@@ -23,7 +23,10 @@ initial vorticity's grid. Its one history, read by steps and records, is
 the three newest (omega field, N half spectrum in rfft2 layout) levels. A
 step costs the transforms of one convection evaluation, fourteen 1-D plane
 passes in four numpy calls; the flow state it hands to observers and sinks
-is the one that evaluation read, physical omega, u and v still cached.
+is the one that evaluation read, with omega's node values cached for the
+records. A run holds, besides that state, only the history, the scratch
+stacks and its tables: before the next step it lets go of the state, and a
+level that stops being the newest forgets omega's node values.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .convection import _scratch, _skew_kernel
 from .diagnostics import _DEPTH, SeriesRecord, make_record
 from .errors import BlowUpError, ConfigError
 from .fields import FlowState, _assemble_state, _check_mean, _project_mean
-from .spectral import Grid, ScalarField, _norm_sq, mean
+from .spectral import Grid, ScalarField, _forget_nodes, _norm_sq, mean
 
 __all__ = [
     "SchemeId",
@@ -267,6 +270,8 @@ def _march(omega0: ScalarField, cfg: RunConfig, forcing, scratch):
     rule dropped with its table when its step runs. scratch
     (convection._scratch) holds every temporary of a step and is free
     between yields; only the arrays handed out in levels and flow are fresh.
+    Before the next step it drops its reference to flow and omega's node
+    values, which no step reads; the half spectra and norms stay.
     """
     grid, need = omega0.grid, cfg.scheme.history_required
 
@@ -292,6 +297,8 @@ def _march(omega0: ScalarField, cfg: RunConfig, forcing, scratch):
                                     scratch)
         levels = ((flow.omega, conv_h),) + levels[:_DEPTH - 1]
         yield k, levels, flow
+        _forget_nodes(flow.omega)
+        del flow
 
 
 def _check_blowup(w_l2: float, ref_l2: float, step: int, last_record):
@@ -300,6 +307,16 @@ def _check_blowup(w_l2: float, ref_l2: float, step: int, last_record):
         raise BlowUpError(
             f"solution blew up at step {step}: ||w||_2 = {w_l2:.6e} "
             f"(initial {ref_l2:.6e})", step=step, last_record=last_record)
+
+
+def _check_initial_norm(omega0: ScalarField):
+    """Refuse initial vorticity whose L2 norm is not finite, a bad input
+    rather than a blow-up; run() and the CLI both ask before step 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_l2 = math.sqrt(_norm_sq(omega0))
+    if not math.isfinite(w_l2):
+        raise ConfigError(f"initial vorticity has no finite L2 norm "
+                          f"(||w||_2 = {w_l2:.6e})")
 
 
 def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
@@ -323,13 +340,15 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
         Receives (step, FlowState) for every step including step 0
         (measurement hook; convergence studies use it).
 
-    Returns RunSummary; raises BlowUpError when the solution leaves the
+    Returns RunSummary; raises ConfigError before step 0 when omega0's L2
+    norm is not finite, and BlowUpError when the solution leaves the
     finite range, reporting the failing step and the last good record.
     """
     grid = omega0.grid
     if grid.n != cfg.n:
         raise ConfigError(
             f"initial data on {grid} does not match config (n={cfg.n})")
+    _check_initial_norm(omega0)
     n_steps = cfg.n_steps
     records = []
     last_record = None
@@ -357,6 +376,7 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
             snapshot_sink(k, flow)
         if k == n_steps:
             break
+        del flow  # the next step runs without this state
 
     elapsed = time.perf_counter() - t0
     extrema = {}

@@ -60,8 +60,8 @@ class Grid:
     """
 
     __slots__ = ("n", "length", "spacing", "wavenumbers", "_d1x", "_d1y",
-                 "_ksq", "_inv_ksq", "_weight", "_neg_rows", "_nodes",
-                 "_dealias_mask", "_parseval")
+                 "_ksq", "_inv_ksq", "_weight", "_neg_rows", "_dealias_mask",
+                 "_parseval")
 
     def __init__(self, n: int, length: float = 1.0):
         if not isinstance(n, (int, np.integer)) or n < 1:
@@ -112,19 +112,14 @@ class Grid:
         for arr in (self._d1x, self._d1y, self._ksq, self._inv_ksq,
                     self._weight, self._neg_rows):
             arr.setflags(write=False)
-        self._nodes = None
         self._dealias_mask = None
         self._parseval = None
 
     def nodes(self):
-        """Node coordinate arrays (X, Y), each of shape (n, n), ij indexing."""
-        if self._nodes is None:
-            x = np.arange(self.n) * self.spacing
-            X, Y = np.meshgrid(x, x, indexing="ij")
-            X.setflags(write=False)
-            Y.setflags(write=False)
-            self._nodes = (X, Y)
-        return self._nodes
+        """Node coordinate arrays (X, Y), each of shape (n, n), ij indexing,
+        made afresh on each call, so that no grid keeps them."""
+        x = np.arange(self.n) * self.spacing
+        return tuple(np.meshgrid(x, x, indexing="ij"))
 
     @property
     def dealias_mask(self):
@@ -356,6 +351,13 @@ def l2_norm(f: ScalarField) -> float:
 def mean(f: ScalarField) -> float:
     """Discrete average of f, the (0, 0) Fourier coefficient."""
     return float(f._half[0, 0].real)
+
+
+def _forget_nodes(field: ScalarField):
+    """Drop a field's cached node values; its half spectrum and norms stay,
+    and the physical property forms them again, by one inverse transform,
+    only if asked."""
+    field._phys = None
 
 
 def _half_to_physical(grid: Grid, half):

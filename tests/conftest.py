@@ -4,15 +4,18 @@ Random fields are drawn in spectral space with a power-law falloff and
 realized through a physical round trip so they are exactly real. Even-N
 grids zero their first-derivative Nyquist multipliers, so helpers default
 to Nyquist-free spectra; tests that probe the Nyquist behavior opt out.
-The fft_calls fixture counts the numpy.fft calls of a test.
+The fft_calls fixture counts the numpy.fft calls of a test, and
+step_planes measures the traced memory of a run's steps.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vorspec import ScalarField, perp_gradient
+from vorspec import (Grid, RunConfig, ScalarField, ShearLayerSpec,
+                     perp_gradient, run, shear_layer_init)
 
 SEED = 61409
 
@@ -86,3 +89,29 @@ def fft_calls(monkeypatch):
             return _fn(a, *args, **kw)
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+@pytest.fixture(scope="session")
+def step_planes():
+    """Peak traced memory between consecutive observer calls of the thick
+    layer (N = 64, 12 BDF3 steps, a record every step), in half-spectrum
+    planes of N (N/2 + 1) complex numbers; entry k ends at step k's
+    observer call. Tracing starts just before run(), so the grid and the
+    initial vorticity are not counted. Measured once per session."""
+    n, dt, steps = 64, 8e-4, 12
+    omega0 = shear_layer_init(Grid(n), ShearLayerSpec(rho=30.0, delta=0.05,
+                                                      nu=1e-4))
+    cfg = RunConfig(n=n, dt=dt, nu=1e-4, t_final=steps * dt)
+    plane = n * (n // 2 + 1) * 16
+    peaks = []
+
+    def observe(k, flow):
+        peaks.append(tracemalloc.get_traced_memory()[1] / plane)
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        run(omega0, cfg, observer=observe)
+    finally:
+        tracemalloc.stop()
+    return peaks

@@ -84,14 +84,28 @@ def test_every_public_name_resolves():
 # and spectral._div_norm_sq alone fill, so that a norm's bits never depend
 # on which caller took it first
 CACHE_NAMES = re.compile(r"\b(_norms|_div_sq)\b")
+# the node-value cache of ScalarField, which the convection kernel fills
+# for omega and a run empties only through spectral._forget_nodes; Grid
+# keeps no node coordinates at all
+NODE_CACHE = re.compile(r"\b_phys\b")
+GRID_NODES = re.compile(r"\b_nodes\b")
+
+
+def mentions(pattern, owners=()):
+    """file:line of every package line matching pattern outside owners."""
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(paths) >= 10, f"package sources not found in {PACKAGE_DIR}"
+    return [f"{path.name}:{line}" for path in paths
+            if path.name not in owners
+            for line, text in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1)
+            if pattern.search(text)]
 
 
 def test_only_spectral_touches_the_norm_caches():
-    paths = sorted(PACKAGE_DIR.glob("*.py"))
-    assert len(paths) >= 10, f"package sources not found in {PACKAGE_DIR}"
-    found = [f"{path.name}:{line}" for path in paths
-             if path.name != "spectral.py"
-             for line, text in enumerate(
-                 path.read_text(encoding="utf-8").splitlines(), 1)
-             if CACHE_NAMES.search(text)]
-    assert found == []
+    assert mentions(CACHE_NAMES, ("spectral.py",)) == []
+
+
+def test_only_spectral_and_convection_touch_the_node_cache():
+    assert mentions(NODE_CACHE, ("spectral.py", "convection.py")) == []
+    assert mentions(GRID_NODES) == []
