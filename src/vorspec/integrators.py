@@ -15,23 +15,24 @@ multistep weights; their sums are 1/2, making each scheme consistent with
 the single transport term of the vorticity equation.
 A startup schedule built before step 0 takes w^1 by one explicit-midpoint
 RK2 step and, for BDF3, w^2 by one BDF2 step, each rule dropped after its
-step; this preserves third-order global accuracy.
+step; this preserves third-order global accuracy. Step 1 thus treats
+diffusion explicitly: it multiplies a diffusing mode by 1 + z + z^2/2,
+z = -nu (2 pi / L)^2 |k|^2 dt, which damps the mode only while z >= -2.
 
-run() is the one way to advance a solution; its observer sees the flow
-state of every step from step 0 on, and the domain length comes from the
-initial vorticity's grid. Its one history, read by steps and records, is
-the three newest (omega field, N half spectrum in rfft2 layout) levels. A
-step costs the transforms of one convection evaluation, fourteen 1-D plane
-passes in four numpy calls; the flow state it hands to observers and sinks
-is the one that evaluation read, with omega's node values cached for the
-records. A run holds, besides that state, only the history, the scratch
-stacks and its tables: before the next step it lets go of the state, and a
-level that stops being the newest forgets omega's node values.
+run() is the one way to advance a solution and holds the only step loop;
+its observer sees the flow state of every step from step 0 on, and the
+domain length comes from the initial vorticity's grid. Its one history,
+read by steps and records, is the three newest (omega field, N half
+spectrum in rfft2 layout) levels. A step costs one convection evaluation,
+fourteen 1-D plane passes in four numpy calls, and hands observers and
+sinks the flow state that evaluation read, omega's node values cached.
+Besides that state a run holds only the history, the scratch stacks and
+its tables; every step but the last ends by forgetting omega's node
+values and dropping the state.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -204,13 +205,6 @@ def _forcing_half(forcing, t: float, grid: Grid):
     return f._half
 
 
-def _convect(grid: Grid, w_h, t: float, dealias: bool, scratch):
-    """Flow state at time t of a mean-free vorticity half spectrum and the
-    half spectrum of its convection N: fourteen 1-D passes, four calls."""
-    flow = _assemble_state(grid, w_h, t)
-    return flow, _skew_kernel(flow.vel, flow.omega, dealias, scratch)
-
-
 def _solver(grid: Grid, scheme: SchemeId, dt: float, nu: float):
     """(c_j/dt, e_j, 1/(a/dt + nu ksq)) of one scheme, built once per run:
     the vorticity weights as p/(q dt) (see _WEIGHTS), the convection
@@ -224,7 +218,7 @@ def _implicit_omega(grid: Grid, levels, solver, forcing, t: float,
                     scratch):
     """Vorticity half spectrum at time t by one step of an IMEX scheme.
 
-    levels is _march's history; levels beyond the scheme's depth are
+    levels is run()'s history; levels beyond the scheme's depth are
     ignored; solver is the scheme's _solver. The right-hand side is summed
     in two planes of scratch's complex stack.
     """
@@ -255,50 +249,10 @@ def _midpoint_omega(grid: Grid, levels, cfg: RunConfig, forcing, scratch):
     w0, dt, nu = omega0._half, cfg.dt, cfg.nu
     k1 = _explicit_rhs(grid, w0, conv0, nu, forcing, 0.0)
     w_mid = _project_mean(w0 + 0.5 * dt * k1)
-    _, conv_mid = _convect(grid, w_mid, 0.5 * dt, cfg.dealias, scratch)
+    mid = _assemble_state(grid, w_mid, 0.5 * dt)
+    conv_mid = _skew_kernel(mid.vel, mid.omega, cfg.dealias, scratch)
     k2 = _explicit_rhs(grid, w_mid, conv_mid, nu, forcing, 0.5 * dt)
     return _project_mean(w0 + dt * k2)
-
-
-def _march(omega0: ScalarField, cfg: RunConfig, forcing, scratch):
-    """Yield (k, levels, flow) for the steps k = 0, 1, 2, ... without end.
-
-    flow is the FlowState of step k; levels, the run's one history, holds
-    the newest-first (flow.omega, N half spectrum) pairs of the last _DEPTH
-    steps. Steps 1 .. need - 1 run a schedule built before step 0: the
-    explicit midpoint at step 1, then at step j the j-level scheme, each
-    rule dropped with its table when its step runs. scratch
-    (convection._scratch) holds every temporary of a step and is free
-    between yields; only the arrays handed out in levels and flow are fresh.
-    Before the next step it drops its reference to flow and omega's node
-    values, which no step reads; the half spectra and norms stay.
-    """
-    grid, need = omega0.grid, cfg.scheme.history_required
-
-    def imex(scheme):
-        solver = _solver(grid, scheme, cfg.dt, cfg.nu)
-        return lambda levels, t: _implicit_omega(grid, levels, solver,
-                                                 forcing, t, scratch)
-
-    schedule = [lambda levels, t: _midpoint_omega(grid, levels, cfg, forcing,
-                                                  scratch)][:need - 1]
-    schedule += [imex(s) for s in SchemeId if 1 < s.history_required < need]
-    rule = imex(cfg.scheme)
-    w_h = _project_mean(np.array(omega0._half))
-    levels = ()
-    for k in itertools.count():
-        # an overflowing step leaves inf or nan for run()'s blow-up guard to
-        # report; the caller's code between yields keeps its own errstate
-        with np.errstate(over="ignore", invalid="ignore"):
-            if k > 0:
-                w_h = (schedule.pop(0) if schedule else rule)(levels,
-                                                              k * cfg.dt)
-            flow, conv_h = _convect(grid, w_h, k * cfg.dt, cfg.dealias,
-                                    scratch)
-        levels = ((flow.omega, conv_h),) + levels[:_DEPTH - 1]
-        yield k, levels, flow
-        _forget_nodes(flow.omega)
-        del flow
 
 
 def _check_blowup(w_l2: float, ref_l2: float, step: int, last_record):
@@ -340,6 +294,12 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
         Receives (step, FlowState) for every step including step 0
         (measurement hook; convergence studies use it).
 
+    Each step takes the new vorticity, its flow state and its convection
+    under an errstate that leaves overflow to the blow-up guard; the guard,
+    observer, record and snapshot run under the caller's. Every step but
+    the last ends at the run's one release point: omega's node values are
+    forgotten and the flow state dropped.
+
     Returns RunSummary; raises ConfigError before step 0 when omega0's L2
     norm is not finite, and BlowUpError when the solution leaves the
     finite range, reporting the failing step and the last good record.
@@ -349,7 +309,7 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
         raise ConfigError(
             f"initial data on {grid} does not match config (n={cfg.n})")
     _check_initial_norm(omega0)
-    n_steps = cfg.n_steps
+    n_steps, dt, need = cfg.n_steps, cfg.dt, cfg.scheme.history_required
     records = []
     last_record = None
     scratch = _scratch(grid)
@@ -357,7 +317,27 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
     # stack, free between steps, viewed as 5 float rows of K = its floats
     record_work = scratch[0].view(np.float64).reshape(5, -1)[:4]
     t0 = time.perf_counter()
-    for k, levels, flow in _march(omega0, cfg, forcing, scratch):
+
+    def imex(scheme):
+        solver = _solver(grid, scheme, dt, cfg.nu)
+        return lambda levels, t: _implicit_omega(grid, levels, solver,
+                                                 forcing, t, scratch)
+
+    schedule = [lambda levels, t: _midpoint_omega(grid, levels, cfg, forcing,
+                                                  scratch)][:need - 1]
+    schedule += [imex(s) for s in SchemeId if 1 < s.history_required < need]
+    rule = imex(cfg.scheme)
+    w_h = _project_mean(np.array(omega0._half))
+    levels = ()
+    for k in range(n_steps + 1):
+        # an overflowing step leaves inf or nan for the blow-up guard to
+        # report; observers and sinks run outside, under their own errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            if k > 0:
+                w_h = (schedule.pop(0) if schedule else rule)(levels, k * dt)
+            flow = _assemble_state(grid, w_h, k * dt)
+            conv_h = _skew_kernel(flow.vel, flow.omega, cfg.dealias, scratch)
+        levels = ((flow.omega, conv_h),) + levels[:_DEPTH - 1]
         # the convection's divergence precondition cached ||w||_2 on omega
         w_l2 = math.sqrt(_norm_sq(flow.omega))
         if k == 0:
@@ -367,16 +347,16 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
             observer(k, flow)
         if k % cfg.series_every == 0 or k == n_steps:
             last_record = make_record(flow, [w for w, _ in levels],
-                                      cfg.nu, cfg.dt, _work=record_work)
+                                      cfg.nu, dt, _work=record_work)
             records.append(last_record)
             if series_sink is not None:
                 series_sink(last_record)
         if cfg.snapshot_every > 0 and k % cfg.snapshot_every == 0 \
                 and snapshot_sink is not None:
             snapshot_sink(k, flow)
-        if k == n_steps:
-            break
-        del flow  # the next step runs without this state
+        if k < n_steps:  # the run's one release point: no step reads these
+            _forget_nodes(flow.omega)
+            del flow
 
     elapsed = time.perf_counter() - t0
     extrema = {}

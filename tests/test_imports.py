@@ -45,6 +45,54 @@ def test_no_unused_imports_in_package():
     assert found == []
 
 
+def unused_private_names(sources):
+    """(file, line, name) of every module-level private name, a function,
+    class or assignment target (dunders aside), that no statement of the
+    given {file: source} reads besides the one defining it."""
+    defined, readers = [], {}
+    for fname, source in sources.items():
+        for stmt in ast.parse(source).body:
+            where = (fname, stmt.lineno)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load):
+                    readers.setdefault(node.id, set()).add(where)
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add(where)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(where, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    return sorted((*where, name) for where, name in defined
+                  if not readers.get(name, set()) - {where})
+
+
+def test_unused_private_name_scan_sees_functions_classes_and_targets():
+    sources = {"a.py": "_A = 1\n_B, _C = 2, 3\n_D: int = 4\n"
+                       "def _f():\n    return _f()\n"
+                       "class _K:\n    pass\n"
+                       "def g():\n    return _B + m._D\n__all__ = []\n",
+               "b.py": "from .a import _K\nx = _K()\n"}
+    assert unused_private_names(sources) == [("a.py", 1, "_A"),
+                                             ("a.py", 2, "_C"),
+                                             ("a.py", 4, "_f")]
+
+
+def test_no_unused_private_names_in_package():
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(paths) >= 10, f"package sources not found in {PACKAGE_DIR}"
+    assert unused_private_names({p.name: p.read_text(encoding="utf-8")
+                                 for p in paths}) == []
+
+
 def local_imports(source: str):
     """Lines of the imports made inside a function or method body."""
     tree = ast.parse(source)

@@ -84,9 +84,9 @@ def _blowup(dt, dealias):
     return step, statistics.median(ratios)
 
 
-def _sci(x):
+def _sci(x, digits=0):
     """x in the README's one-digit exponent form: 1e-3, not 1e-03."""
-    mantissa, exponent = f"{x:.0e}".split("e")
+    mantissa, exponent = f"{x:.{digits}e}".split("e")
     return f"{mantissa}e{int(exponent)}"
 
 
@@ -218,6 +218,38 @@ def test_shear_layer_thetas_match_the_readme(sections):
         *thetas) in sections
     assert len({f"{t:.2f}" for t in thetas}) == 1
     assert f"about {thetas[0]:.2f} for both" in sections
+
+
+def _step_one_factor(nu, dt=0.01):
+    """(||omega||_2 after step 1 over its initial value, the exact decay
+    factor) of the N = 64 vortex, from a two-step run."""
+    exact = taylor_green_exact(Grid(64), TaylorGreenSpec(nu=nu))
+    norms = []
+    run(exact.omega, RunConfig(n=64, dt=dt, nu=nu, t_final=2 * dt),
+        observer=lambda k, flow: norms.append(l2_norm(flow.omega)))
+    return norms[1] / norms[0], math.exp(-8.0 * nu * math.pi**2 * dt)
+
+
+def test_step_one_diffusion_factors_match_the_readme(sections):
+    """Step 1 multiplies the vortex's one shell, |k|^2 = 2, by the
+    explicit midpoint's 1 + z + z^2/2 (its convection vanishes), which
+    grows once z < -2; the thick layer's top mode stays damped up to the
+    nu where its d = nu k_max^2 dt reaches 2."""
+    big, exact_big = _step_one_factor(10.0)
+    unit, exact_unit = _step_one_factor(1.0)
+    z = -10.0 * 8.0 * math.pi**2 * 0.01
+    assert big == pytest.approx(1.0 + z + 0.5 * z * z, rel=1e-12)
+    assert big > 1.0 > unit
+    spec, n, dt = SHEAR_LAYER_CASES["thick"]
+    nu_max = 2.0 / (2.0 * (2.0 * math.pi * (n // 2)) ** 2 * dt)
+    for text in (f"nu = 10 multiplies ||omega||_2 by {big:.2f} at step 1, "
+                 f"where the exact factor is {_sci(exact_big, 1)}",
+                 f"nu = 1 gives {unit:.3f} against an exact "
+                 f"{exact_unit:.3f}",
+                 f"at dt = {_sci(dt)} the top mode stays damped for nu up "
+                 f"to {_sci(nu_max, 1)}, and the preset nu is "
+                 f"{_sci(spec.nu)}"):
+        assert text in sections
 
 
 def _root_radius(theta):
