@@ -18,9 +18,8 @@ passes in four numpy calls, in the scratch stacks: a 2-D real transform is
 a complex pass along k and a real pass along l, and D_y depends on l alone,
 so it commutes with the k pass. omega and D_y omega share one k pass, as
 do the two y-terms of the forward side, and no pass forms a full (N, N)
-spectrum. Only omega's node values stay cached on its field, bit for bit
-its irfft2, since records read them for max_omega; u and v are read from
-the scratch planes, and their fields form node values only on request.
+spectrum. The fluxes overwrite the u and v planes; omega's stays intact
+and gives the records max|omega| as a cached norm, not as node values.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotDivergenceFreeError
-from .spectral import ScalarField, VectorField, _div_norm_sq, _norm_sq
+from .spectral import (ScalarField, VectorField, _div_norm_sq, _norm_sq,
+                       _sup_norm)
 
 __all__ = ["DIV_FREE_TOLERANCE", "skew_convection"]
 
@@ -50,14 +50,12 @@ def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool,
 
     Checks the divergence precondition by Parseval on the half spectra
     before any transform, leaving ||omega||_2 cached on omega for run()'s
-    blow-up guard and ||div u||_2 on vel for the records. omega without a
-    physical view gets a fresh copy of its inverse-transformed plane, and a
-    cached one is kept and read; u and v are always read from their planes,
-    and their fields get no view. Every temporary lives in the two stacks
-    of scratch (see _scratch), which a caller may reuse.
+    blow-up guard, and ||div u||_2 on vel and max|omega| from its plane on
+    omega for the records. It reads only half spectra and writes no node
+    values. Every temporary lives in the two stacks of scratch (see
+    _scratch), which a caller may reuse.
     """
     grid = omega.grid
-    w_h = omega._half
     w_l2 = np.sqrt(_norm_sq(omega))
     spec, phys = scratch
     d = np.sqrt(_div_norm_sq(vel, spec))
@@ -66,25 +64,23 @@ def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool,
             f"velocity is not discretely divergence-free: ||div u||_2 = "
             f"{d:.6e} exceeds {DIV_FREE_TOLERANCE:.1e} * ||omega||_2 = "
             f"{DIV_FREE_TOLERANCE * w_l2:.6e}")
-    # inverse: a pass along k, in place, over D_x omega, omega, u and v,
+    # inverse: a pass along k, in place, over D_x omega, u, v and omega,
     # D_y omega from omega's plane, and a pass along l over all five
-    np.multiply(w_h, grid._d1x, out=spec[0])
-    for plane, f in zip(spec[1:4], (omega, vel.x, vel.y)):
+    np.multiply(omega._half, grid._d1x, out=spec[0])
+    for plane, f in zip(spec[1:4], (vel.x, vel.y, omega)):
         plane[...] = f._half
     np.fft.ifft(spec[:4], axis=-2, norm="forward", out=spec[:4])
-    np.multiply(spec[1], grid._d1y, out=spec[4])
+    np.multiply(spec[3], grid._d1y, out=spec[4])
     np.fft.irfft(spec, n=grid.n, axis=-1, norm="forward", out=phys)
-    if omega._phys is None:
-        omega._phys = phys[1].copy()
-        omega._phys.setflags(write=False)
-    w, u, v = omega._phys, phys[2], phys[3]
+    u, v, w = phys[1:4]
+    _sup_norm(omega, w)
 
     # advective half: products pointwise, derivatives spectral
     adv = np.multiply(u, phys[0], out=phys[0])
     adv += np.multiply(v, phys[4], out=phys[4])
-    # flux half: transform the pointwise fluxes, differentiate spectrally
-    np.multiply(u, w, out=phys[1])
-    np.multiply(v, w, out=phys[2])  # u's plane, read for the last time above
+    # flux half: pointwise fluxes over the u and v planes, last read above
+    np.multiply(u, w, out=u)
+    np.multiply(v, w, out=v)
     # forward: a pass along l over the three products, the D_y flux added
     # to the advective plane, and a pass along k, in place, over two planes
     np.fft.rfft(phys[:3], axis=-1, norm="forward", out=spec[:3])

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import GridMismatchError
 from .fields import FlowState
 from .spectral import (Grid, ScalarField, _div_norm_sq, _norm_sq,
-                       _parseval_table, inner_product, l2_norm)
+                       _parseval_table, _sup_norm, inner_product, l2_norm)
 
 __all__ = [
     "TelescopeCoeffs",
@@ -330,11 +330,11 @@ def make_record(state: FlowState, history=None, nu: float = 0.0,
     """Assemble the full diagnostics row for one flow state.
 
     history carries the vorticity levels (newest-first) for the stability
-    functionals; when omitted only the current vorticity is used. Every
-    column but max_omega comes from the spectral views by Parseval, so the
-    flow states and history that run() hands out cost no transform. Norm
-    columns come from the functions that define them (l2_omega is
-    hm_norm(omega, 0)), so they are those functions' bits. _work is run()'s
+    functionals; when omitted only the current vorticity is used. Columns
+    come by Parseval from the spectral views, or for max_omega from the
+    norm that run()'s convection caches, so a record in a run costs no
+    transform. Norm columns are their defining functions' or producers'
+    bits (l2_omega is hm_norm(omega, 0)). _work is run()'s
     buffer for the products of _functionals; without it a record allocates
     its own.
     """
@@ -342,7 +342,6 @@ def make_record(state: FlowState, history=None, nu: float = 0.0,
         history = [state.omega]
     F, G1 = _functionals(history, nu, dt, state.grid, _work)
     omega = state.omega
-    p = omega.physical
     return SeriesRecord(
         t=state.time,
         l2_omega=hm_norm(omega, 0),
@@ -350,7 +349,7 @@ def make_record(state: FlowState, history=None, nu: float = 0.0,
         energy=energy(state),
         enstrophy=enstrophy(state),
         div_error=div_error(state),
-        max_omega=float(max(p.max(), -p.min())),
+        max_omega=_sup_norm(omega),
         F=F,
         G1=G1,
     )

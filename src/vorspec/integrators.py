@@ -25,10 +25,9 @@ domain length comes from the initial vorticity's grid. Its one history,
 read by steps and records, is the three newest (omega field, N half
 spectrum in rfft2 layout) levels. A step costs one convection evaluation,
 fourteen 1-D plane passes in four numpy calls, and hands observers and
-sinks the flow state that evaluation read, omega's node values cached.
-Besides that state a run holds only the history, the scratch stacks and
-its tables; every step but the last ends by forgetting omega's node
-values and dropping the state.
+sinks the flow state that evaluation read, max|omega| cached. Besides it
+a run holds only the history, the scratch stacks and its tables, and
+every step but the last drops it.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .convection import _scratch, _skew_kernel
 from .diagnostics import _DEPTH, SeriesRecord, make_record
 from .errors import BlowUpError, ConfigError
 from .fields import FlowState, _assemble_state, _check_mean, _project_mean
-from .spectral import Grid, ScalarField, _forget_nodes, _norm_sq, mean
+from .spectral import Grid, ScalarField, _norm_sq, mean
 
 __all__ = [
     "SchemeId",
@@ -251,6 +250,7 @@ def _midpoint_omega(grid: Grid, levels, cfg: RunConfig, forcing, scratch):
     w_mid = _project_mean(w0 + 0.5 * dt * k1)
     mid = _assemble_state(grid, w_mid, 0.5 * dt)
     conv_mid = _skew_kernel(mid.vel, mid.omega, cfg.dealias, scratch)
+    del mid
     k2 = _explicit_rhs(grid, w_mid, conv_mid, nu, forcing, 0.5 * dt)
     return _project_mean(w0 + dt * k2)
 
@@ -297,8 +297,8 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
     Each step takes the new vorticity, its flow state and its convection
     under an errstate that leaves overflow to the blow-up guard; the guard,
     observer, record and snapshot run under the caller's. Every step but
-    the last ends at the run's one release point: omega's node values are
-    forgotten and the flow state dropped.
+    the last ends by dropping its flow state; nothing in the loop writes
+    or clears a node cache.
 
     Returns RunSummary; raises ConfigError before step 0 when omega0's L2
     norm is not finite, and BlowUpError when the solution leaves the
@@ -354,8 +354,7 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
         if cfg.snapshot_every > 0 and k % cfg.snapshot_every == 0 \
                 and snapshot_sink is not None:
             snapshot_sink(k, flow)
-        if k < n_steps:  # the run's one release point: no step reads these
-            _forget_nodes(flow.omega)
+        if k < n_steps:  # no step reads the flow state
             del flow
 
     elapsed = time.perf_counter() - t0

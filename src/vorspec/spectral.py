@@ -156,11 +156,11 @@ class ScalarField:
     real (n, n) array of node values is only a cache, kept from the
     constructor or filled by one inverse transform on first access. A field
     is value-immutable: all arrays are exposed read-only and arithmetic
-    returns new fields. Its squared Parseval seminorms are cached beside
-    the value once taken. The spectral property expands the full (n, n)
-    coefficients on each access; a full spectrum F given to the constructor
-    keeps its Hermitian part (F + conj F[-k, -l]) / 2, the spectrum of
-    ifft2(F).real.
+    returns new fields. Its squared Parseval seminorms and max|f| are
+    cached beside the value once taken. The spectral property expands the
+    full (n, n) coefficients on each access; a full spectrum F given to the
+    constructor keeps its Hermitian part (F + conj F[-k, -l]) / 2, the
+    spectrum of ifft2(F).real.
     """
 
     __slots__ = ("grid", "_phys", "_half", "_norms")
@@ -353,13 +353,6 @@ def mean(f: ScalarField) -> float:
     return float(f._half[0, 0].real)
 
 
-def _forget_nodes(field: ScalarField):
-    """Drop a field's cached node values; its half spectrum and norms stay,
-    and the physical property forms them again, by one inverse transform,
-    only if asked."""
-    field._phys = None
-
-
 def _half_to_physical(grid: Grid, half):
     """Real node values from a half spectrum: one inverse real transform,
     which keeps only the Hermitian part of the implied full spectrum."""
@@ -433,3 +426,16 @@ def _norm_sq(field: ScalarField, m: int = 0, out=None) -> float:
         else:
             norms[m] = _half_norm_sq(g, h if m == 0 else h * g._ksq**(m / 2))
     return norms[m]
+
+
+def _sup_norm(field: ScalarField, nodes=None) -> float:
+    """max|f| over a field's node values, cached on it by this one producer,
+    whoever asks first: its cached node values if any, else nodes (a
+    caller's plane, its irfft2 bit for bit), else the physical property."""
+    norms = field._norms
+    if "sup" not in norms:
+        p = field._phys
+        if p is None:
+            p = field.physical if nodes is None else nodes
+        norms["sup"] = float(max(p.max(), -p.min()))
+    return norms["sup"]

@@ -19,7 +19,7 @@ from vorspec import (
     taylor_green_exact,
 )
 from vorspec.convection import _scratch, _skew_kernel
-from vorspec.spectral import _half_to_physical
+from vorspec.spectral import _half_to_physical, _sup_norm
 
 
 def reference_skew_convection(vel, omega, dealias=False):
@@ -83,9 +83,9 @@ def per_plane_skew_kernel(vel, omega, dealias):
 @pytest.mark.parametrize("dealias", [False, True])
 def test_batched_kernel_matches_per_plane_bit_for_bit(noise, n, dealias):
     """Batched transforms give bit for bit the per-plane kernel's result,
-    which reads the fields' own irfft2 views. omega's cached physical view
-    is the per-plane inverse of its half spectrum, in an array of its own;
-    u and v are read from the scratch planes and get no view until asked."""
+    which reads the fields' own irfft2 views. The kernel gives no field a
+    physical view: each forms its own when asked, the irfft2 of its half
+    spectrum, in an array of its own."""
     g = Grid(n)
 
     def spectral_only(f):  # a copy whose physical view is not yet formed
@@ -100,7 +100,7 @@ def test_batched_kernel_matches_per_plane_bit_for_bit(noise, n, dealias):
         want = per_plane_skew_kernel(perp_gradient(spectral_only(psi)),
                                      spectral_only(omega), dealias)
         assert np.array_equal(got, want)
-        assert vel.x._phys is None and vel.y._phys is None
+        assert all(f._phys is None for f in (w, vel.x, vel.y))
         for f in (w, vel.x, vel.y):
             assert np.array_equal(
                 f.physical, _half_to_physical(g, f._half))
@@ -109,7 +109,7 @@ def test_batched_kernel_matches_per_plane_bit_for_bit(noise, n, dealias):
 
 def test_kernel_keeps_physical_views_it_is_given(divfree, noise):
     """Fields built from node values keep their own physical arrays, which
-    the kernel never writes; it reads omega's and forms u and v from their
+    the kernel never reads or writes; it forms omega, u and v from their
     half spectra."""
     g = Grid(16)
     for _ in range(3):
@@ -125,6 +125,26 @@ def test_kernel_keeps_physical_views_it_is_given(divfree, noise):
         for f, view, copy in zip((omega, vel.x, vel.y), views, copies):
             assert f.physical is view
             assert np.array_equal(view, copy)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_convection_depends_only_on_omegas_value(divfree, noise, n):
+    """omega built from node values and a spectral-only copy of its half
+    spectrum are one value, so they give the same bits. max|omega| is
+    cached from the node values a field holds, else from the kernel's
+    plane, its irfft2 bit for bit."""
+    g = Grid(n)
+    for _ in range(5):
+        vel = divfree(g)
+        p = noise(g).physical
+        given = ScalarField.from_physical(g, p)
+        copy = ScalarField._adopt(g, given._half)
+        got, want = (skew_convection(vel, w)._half for w in (given, copy))
+        assert np.array_equal(got, want)
+        assert _sup_norm(given) == max(p.max(), -p.min())
+        q = _half_to_physical(g, given._half)
+        assert copy._phys is None
+        assert _sup_norm(copy) == max(q.max(), -q.min())
 
 
 @pytest.mark.parametrize("n", [15, 16])
@@ -239,12 +259,11 @@ def test_kernel_reuses_scratch_without_stale_reads(noise, n, dealias):
 
 @pytest.mark.parametrize("n", [64, 128])
 def test_kernel_allocates_no_transform_temporary(noise, n):
-    """A warm evaluation allocates its result and omega's physical view,
-    the one it caches, and no transform temporary: the passes run in the
-    scratch stacks. Measured slack over those arrays: 1072 B at N = 64 and
-    1008 B at N = 128. A batched irfftn's five-plane complex temporary
-    (169 kB at N = 64) puts the peak 38.8 kB above the result and three
-    views."""
+    """A warm evaluation allocates its result alone: no physical view and
+    no transform temporary, since the passes run in the scratch stacks.
+    Measured slack over the result: 1072 B at N = 64 and 1008 B at
+    N = 128 (a cached omega view added N^2 8 B; a batched irfftn's
+    five-plane complex temporary, 169 kB at N = 64, far more)."""
     g = Grid(n)
     psi, omega = noise(g), noise(g)
     scratch = _scratch(g)
@@ -261,4 +280,4 @@ def test_kernel_allocates_no_transform_temporary(noise, n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= result.nbytes + n * n * 8 + 4096
+    assert peak <= result.nbytes + 4096

@@ -132,9 +132,9 @@ def test_every_public_name_resolves():
 # and spectral._div_norm_sq alone fill, so that a norm's bits never depend
 # on which caller took it first
 CACHE_NAMES = re.compile(r"\b(_norms|_div_sq)\b")
-# the node-value cache of ScalarField, which the convection kernel fills
-# for omega and a run empties only through spectral._forget_nodes; Grid
-# keeps no node coordinates at all
+# the node-value cache of ScalarField, which only its constructor and its
+# physical property fill and no code empties, so a run writes and clears
+# no node values; Grid keeps no node coordinates at all
 NODE_CACHE = re.compile(r"\b_phys\b")
 GRID_NODES = re.compile(r"\b_nodes\b")
 
@@ -154,6 +154,6 @@ def test_only_spectral_touches_the_norm_caches():
     assert mentions(CACHE_NAMES, ("spectral.py",)) == []
 
 
-def test_only_spectral_and_convection_touch_the_node_cache():
-    assert mentions(NODE_CACHE, ("spectral.py", "convection.py")) == []
+def test_only_spectral_touches_the_node_cache():
+    assert mentions(NODE_CACHE, ("spectral.py",)) == []
     assert mentions(GRID_NODES) == []

@@ -29,7 +29,7 @@ from vorspec import (
     run,
     taylor_green_exact,
 )
-from vorspec.spectral import _half_to_physical
+from vorspec.spectral import _half_to_physical, _sup_norm
 
 NU = 1e-3
 LAM = -8.0 * NU * np.pi**2  # decay rate of the resolved vortex mode
@@ -493,22 +493,21 @@ def test_handed_out_arrays_stay_put(noise, dealias):
 
 def test_step_memory_budget(step_planes):
     """A step holds only the history, the scratch stacks and tables and
-    the state it hands out: under 27 half-spectrum planes of traced memory
-    between two observer calls on every BDF3 step, under 29 on the startup
-    steps (measured 26.0 to 26.2 on BDF3 steps and 27.6 on step 1; a BDF3
-    step reads 27 when the newest level's node values outlive its own
-    step, 36 when each step also kept the previous state, older levels'
-    node values and u's and v's)."""
+    the state it hands out: under 26 half-spectrum planes of traced memory
+    between two observer calls on every step, startup included (a BDF3
+    step read 26.0 to 26.2 when the convection cached omega's node values
+    and step 1 27.6 when it also kept its half-step state; 36 when each
+    step also kept the previous state, older levels' node values and u's
+    and v's)."""
     assert len(step_planes) == 13
-    assert max(step_planes[3:]) < 27.0
-    assert max(step_planes[:3]) < 29.0
+    assert max(step_planes) < 26.0
 
 
 def test_node_values_asked_for_late_are_the_same_bits():
-    """Of the states an observer keeps, only the last still caches omega's
-    node values, and none u's or v's; every view asked for after the run
-    is the irfft2 of its half spectrum, bit for bit. Grid.nodes() makes
-    fresh coordinate arrays on each call."""
+    """No state an observer keeps caches node values; every view asked for
+    after the run is the irfft2 of its half spectrum, bit for bit, and
+    each omega's cached max|omega| is taken from those bits. Grid.nodes()
+    makes fresh coordinate arrays on each call."""
     g = Grid(32)
     spec = v.ShearLayerSpec(rho=30.0, delta=0.05, nu=1e-4)
     kept = []
@@ -518,8 +517,10 @@ def test_node_values_asked_for_late_are_the_same_bits():
     assert len(kept) == 13
     cached = [[f._phys is not None for f in (flow.omega, *flow.vel)]
               for flow in kept]
-    assert cached == [[False] * 3] * 12 + [[True, False, False]]
+    assert cached == [[False] * 3] * 13
     for flow in kept:
+        p = _half_to_physical(g, flow.omega._half)
+        assert _sup_norm(flow.omega) == max(p.max(), -p.min())
         for f in (flow.omega, flow.psi, *flow.vel):
             assert (f.physical.tobytes()
                     == _half_to_physical(g, f._half).tobytes())
