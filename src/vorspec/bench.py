@@ -24,8 +24,8 @@ from .errors import BlowUpError, ConfigError
 from .fields import FlowState, make_state
 from .integrators import RunConfig, SchemeId, run
 from .output import format_float
-from .spectral import (Grid, ScalarField, _half_norm_sq, _parseval_table,
-                       derivative)
+from .spectral import (Grid, ScalarField, _half_norm_sq, _kinematics,
+                       _parseval_table, derivative)
 
 __all__ = [
     "TaylorGreenSpec",
@@ -159,16 +159,10 @@ class ConvergenceRow:
         return "polluted" if self.polluted else "ok"
 
 
-def _error_planes(flow: FlowState):
-    """The fields whose errors the convergence table takes, in stack order:
-    omega, psi, and the velocity's two components."""
-    return flow.omega, flow.psi, flow.vel.x, flow.vel.y
-
-
 def _exact_stack(exact0: FlowState):
-    """The half spectra of _error_planes(exact0) as one read-only
-    (4, N, N//2 + 1) stack."""
-    ref = np.stack([f._half for f in _error_planes(exact0)])
+    """The half spectra of exact0's omega, psi, u and v, the fields whose
+    errors the table takes, as one read-only (4, N, N//2 + 1) stack."""
+    ref = np.stack([f._half for f in (exact0.omega, exact0.psi, *exact0.vel)])
     ref.setflags(write=False)
     return ref
 
@@ -178,15 +172,17 @@ class _ErrorAccumulator:
 
     Errors are accumulated spectrally: the exact solution scales every mode
     by the same decay factor, so the reference spectra are the initial ones
-    (ref, see _exact_stack) times exp(-8 nu pi^2 t). One observation fills
-    one error buffer shaped like ref and takes the L2 and H1 moments of its
-    four planes in one product with the grid's Parseval table; it makes no
-    transform.
+    (ref, see _exact_stack) times exp(-8 nu pi^2 t). One observation builds
+    psi, u and v from omega in one error buffer shaped like ref, subtracts
+    the scaled reference through two work planes, and takes the L2 and H1
+    moments of its four planes in one product with the grid's Parseval
+    table; it makes no transform and asks the flow state for no velocity.
     """
 
     def __init__(self, grid: Grid, ref, nu: float, dt: float):
         self.ref = ref
         self.err = np.empty_like(ref)
+        self.work = np.empty_like(ref[:2])
         self.table = _parseval_table(grid)[:2]
         self.rate = -8.0 * nu * np.pi**2
         self.dt = dt
@@ -194,10 +190,12 @@ class _ErrorAccumulator:
         self.h1sq = [0.0, 0.0, 0.0]
 
     def observe(self, step: int, flow: FlowState):
-        err = np.multiply(self.ref, np.exp(self.rate * flow.time),
-                          out=self.err)
-        for plane, f in zip(err, _error_planes(flow)):
-            np.subtract(f._half, plane, out=plane)
+        err, ref = self.err, self.ref
+        err[0] = flow.omega._half
+        _kinematics(flow.grid, err[0], out=err[1:])
+        decay = np.exp(self.rate * flow.time)
+        for i in (0, 2):  # the scaled reference, two planes at a time
+            err[i:i + 2] -= np.multiply(ref[i:i + 2], decay, out=self.work)
         sq = err.view(np.float64).reshape(len(err), -1)
         np.square(sq, out=sq)
         (l2w, l2p, l2u, l2v), (h1w, h1p, h1u, h1v) = \

@@ -27,8 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotDivergenceFreeError
-from .spectral import (ScalarField, VectorField, _div_norm_sq, _norm_sq,
-                       _sup_norm)
+from .spectral import (ScalarField, VectorField, _div_norm_sq, _kinematics,
+                       _norm_sq, _sup_norm)
 
 __all__ = ["DIV_FREE_TOLERANCE", "skew_convection"]
 
@@ -44,21 +44,26 @@ def _scratch(grid):
     return np.empty((5, n, n // 2 + 1), complex), np.empty((5, n, n))
 
 
-def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool,
-                 scratch):
-    """Half spectrum (rfft2 layout) of N(u, omega), a fresh array.
+def _skew_kernel(omega: ScalarField, dealias: bool, scratch, vel=None):
+    """Half spectrum (rfft2 layout) of N(u, omega), a fresh array, for the
+    velocity omega induces (built in scratch) or for vel (copied in).
 
     Checks the divergence precondition by Parseval on the half spectra
     before any transform, leaving ||omega||_2 cached on omega for run()'s
-    blow-up guard, and ||div u||_2 on vel and max|omega| from its plane on
-    omega for the records. It reads only half spectra and writes no node
-    values. Every temporary lives in the two stacks of scratch (see
-    _scratch), which a caller may reuse.
+    blow-up guard, and ||div u||_2 on vel (or omega) and max|omega| from
+    its plane on omega for the records. It reads only half spectra and
+    writes no node values. Every temporary lives in the two stacks of
+    scratch (see _scratch), which a caller may reuse.
     """
     grid = omega.grid
     w_l2 = np.sqrt(_norm_sq(omega))
     spec, phys = scratch
-    d = np.sqrt(_div_norm_sq(vel, spec))
+    if vel is None:  # psi goes into plane 4, free until D_y omega
+        _kinematics(grid, omega._half, out=(spec[4], spec[1], spec[2]))
+    else:
+        spec[1], spec[2] = vel.x._half, vel.y._half
+    d = np.sqrt(_div_norm_sq(omega if vel is None else vel, spec[1:3],
+                             spec[3:5]))
     if d > DIV_FREE_TOLERANCE * w_l2:
         raise NotDivergenceFreeError(
             f"velocity is not discretely divergence-free: ||div u||_2 = "
@@ -67,8 +72,7 @@ def _skew_kernel(vel: VectorField, omega: ScalarField, dealias: bool,
     # inverse: a pass along k, in place, over D_x omega, u, v and omega,
     # D_y omega from omega's plane, and a pass along l over all five
     np.multiply(omega._half, grid._d1x, out=spec[0])
-    for plane, f in zip(spec[1:4], (vel.x, vel.y, omega)):
-        plane[...] = f._half
+    spec[3] = omega._half
     np.fft.ifft(spec[:4], axis=-2, norm="forward", out=spec[:4])
     np.multiply(spec[3], grid._d1y, out=spec[4])
     np.fft.irfft(spec, n=grid.n, axis=-1, norm="forward", out=phys)
@@ -120,4 +124,4 @@ def skew_convection(vel: VectorField, omega: ScalarField,
         If the velocity fails the precondition check.
     """
     return ScalarField._adopt(omega.grid, _skew_kernel(
-        vel, omega, dealias, _scratch(omega.grid)))
+        omega, dealias, _scratch(omega.grid), vel))

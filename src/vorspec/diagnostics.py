@@ -201,8 +201,9 @@ def hm_norm(f: ScalarField, m: int) -> float:
 
 
 def energy(state: FlowState) -> float:
-    """Kinetic energy, half the squared L2 norm of the velocity."""
-    return 0.5 * (_norm_sq(state.vel.x) + _norm_sq(state.vel.y))
+    """Kinetic energy, half the squared L2 norm of the velocity, by one
+    Parseval row of the vorticity (_norm_sq with m = -1)."""
+    return 0.5 * _norm_sq(state.omega, -1)
 
 
 def enstrophy(state: FlowState) -> float:
@@ -211,9 +212,9 @@ def enstrophy(state: FlowState) -> float:
 
 
 def div_error(state: FlowState) -> float:
-    """L2 norm of the discrete velocity divergence; a state from run()
-    carries it from the convection's divergence precondition."""
-    return float(np.sqrt(_div_norm_sq(state.vel)))
+    """L2 norm of the discrete velocity divergence, cached on omega: in
+    run() by the convection's divergence precondition."""
+    return float(np.sqrt(_div_norm_sq(state.omega)))
 
 
 # the vorticity levels F and G1 read: the depth of every run's history

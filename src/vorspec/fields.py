@@ -9,6 +9,7 @@ discretely divergence-free by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,21 +31,27 @@ MEAN_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class FlowState:
-    """Vorticity with its induced stream function and velocity at one time.
-
-    Invariants (enforced by construction through make_state): omega and psi
-    are mean-free, -Lap_N psi = omega, and vel = (D_y psi, -D_x psi) so
-    D_x u + D_y v vanishes to roundoff.
+    """Mean-free vorticity at one time, with the stream function and
+    velocity it induces: -Lap_N psi = omega and vel = (D_y psi, -D_x psi),
+    so D_x u + D_y v vanishes to roundoff. A state holds omega and the
+    time; psi and vel are built on first access, the bits of
+    spectral._kinematics, and kept.
     """
 
     omega: ScalarField
-    psi: ScalarField
-    vel: VectorField
     time: float
 
     @property
     def grid(self) -> Grid:
         return self.omega.grid
+
+    @cached_property
+    def psi(self) -> ScalarField:
+        return solve_poisson(self.omega)
+
+    @cached_property
+    def vel(self) -> VectorField:
+        return perp_gradient(self.psi)
 
 
 def _check_mean(m: float, what: str):
@@ -74,7 +81,7 @@ def make_state(omega: ScalarField, t: float) -> FlowState:
     a larger mean raises MeanViolationError.
     """
     w_h = _project_mean(np.array(omega._half))  # writable copy
-    return _assemble_state(omega.grid, w_h, t)
+    return FlowState(ScalarField._adopt(omega.grid, w_h), float(t))
 
 
 def _project_mean(w_h):
@@ -82,13 +89,6 @@ def _project_mean(w_h):
     _check_mean(w_h[0, 0].real, "vorticity")
     w_h[0, 0] = 0.0
     return w_h
-
-
-def _assemble_state(grid: Grid, w_h, t: float) -> FlowState:
-    """FlowState from a mean-free vorticity half spectrum; no transform."""
-    psi = ScalarField._adopt(grid, w_h * grid._inv_ksq)
-    return FlowState(omega=ScalarField._adopt(grid, w_h), psi=psi,
-                     vel=perp_gradient(psi), time=float(t))
 
 
 def poincare_ratio(field: ScalarField) -> float:

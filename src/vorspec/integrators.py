@@ -23,11 +23,12 @@ run() is the one way to advance a solution and holds the only step loop;
 its observer sees the flow state of every step from step 0 on, and the
 domain length comes from the initial vorticity's grid. Its one history,
 read by steps and records, is the three newest (omega field, N half
-spectrum in rfft2 layout) levels. A step costs one convection evaluation,
+spectrum in rfft2 layout) levels, the oldest dropped once the implicit
+solve has read it. A step costs one convection evaluation of omega,
 fourteen 1-D plane passes in four numpy calls, and hands observers and
-sinks the flow state that evaluation read, max|omega| cached. Besides it
-a run holds only the history, the scratch stacks and its tables, and
-every step but the last drops it.
+sinks a flow state holding omega, which builds psi and the velocity only
+if asked, and which every step but the last drops. Besides it a run holds
+only the history, the scratch stacks and its tables.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from .convection import _scratch, _skew_kernel
 from .diagnostics import _DEPTH, SeriesRecord, make_record
 from .errors import BlowUpError, ConfigError
-from .fields import FlowState, _assemble_state, _check_mean, _project_mean
+from .fields import FlowState, _check_mean, _project_mean
 from .spectral import Grid, ScalarField, _norm_sq, mean
 
 __all__ = [
@@ -243,14 +244,14 @@ def _explicit_rhs(grid: Grid, w_h, conv_h, nu: float, forcing, t: float):
 
 
 def _midpoint_omega(grid: Grid, levels, cfg: RunConfig, forcing, scratch):
-    """Vorticity half spectrum of step 1 by one explicit-midpoint step."""
+    """Vorticity half spectrum of step 1 by one explicit-midpoint step;
+    no half-step flow state, and the first stage dropped once read."""
     (omega0, conv0), *_ = levels
     w0, dt, nu = omega0._half, cfg.dt, cfg.nu
-    k1 = _explicit_rhs(grid, w0, conv0, nu, forcing, 0.0)
-    w_mid = _project_mean(w0 + 0.5 * dt * k1)
-    mid = _assemble_state(grid, w_mid, 0.5 * dt)
-    conv_mid = _skew_kernel(mid.vel, mid.omega, cfg.dealias, scratch)
-    del mid
+    w_mid = _project_mean(
+        w0 + 0.5 * dt * _explicit_rhs(grid, w0, conv0, nu, forcing, 0.0))
+    conv_mid = _skew_kernel(ScalarField._adopt(grid, w_mid), cfg.dealias,
+                            scratch)
     k2 = _explicit_rhs(grid, w_mid, conv_mid, nu, forcing, 0.5 * dt)
     return _project_mean(w0 + dt * k2)
 
@@ -294,8 +295,8 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
         Receives (step, FlowState) for every step including step 0
         (measurement hook; convergence studies use it).
 
-    Each step takes the new vorticity, its flow state and its convection
-    under an errstate that leaves overflow to the blow-up guard; the guard,
+    Each step takes the new vorticity and its convection under an
+    errstate that leaves overflow to the blow-up guard; the guard,
     observer, record and snapshot run under the caller's. Every step but
     the last ends by dropping its flow state; nothing in the loop writes
     or clears a node cache.
@@ -335,9 +336,10 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
         with np.errstate(over="ignore", invalid="ignore"):
             if k > 0:
                 w_h = (schedule.pop(0) if schedule else rule)(levels, k * dt)
-            flow = _assemble_state(grid, w_h, k * dt)
-            conv_h = _skew_kernel(flow.vel, flow.omega, cfg.dealias, scratch)
-        levels = ((flow.omega, conv_h),) + levels[:_DEPTH - 1]
+                levels = levels[:_DEPTH - 1]  # the solve read the oldest
+            flow = FlowState(ScalarField._adopt(grid, w_h), k * dt)
+            conv_h = _skew_kernel(flow.omega, cfg.dealias, scratch)
+        levels = ((flow.omega, conv_h),) + levels
         # the convection's divergence precondition cached ||w||_2 on omega
         w_l2 = math.sqrt(_norm_sq(flow.omega))
         if k == 0:

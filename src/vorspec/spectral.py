@@ -156,8 +156,9 @@ class ScalarField:
     real (n, n) array of node values is only a cache, kept from the
     constructor or filled by one inverse transform on first access. A field
     is value-immutable: all arrays are exposed read-only and arithmetic
-    returns new fields. Its squared Parseval seminorms and max|f| are
-    cached beside the value once taken. The spectral property expands the
+    returns new fields. Its squared Parseval seminorms, max|f| and, as a
+    vorticity, its velocity's squared and divergence norms are cached
+    beside the value once taken. The spectral property expands the
     full (n, n) coefficients on each access; a full spectrum F given to the
     constructor keeps its Hermitian part (F + conj F[-k, -l]) / 2, the
     spectrum of ifft2(F).real.
@@ -265,13 +266,13 @@ class VectorField:
     """Pair of scalar components (x_comp, y_comp) on one shared grid; the
     squared L2 norm of its discrete divergence is cached once taken."""
 
-    __slots__ = ("x", "y", "_div_sq")
+    __slots__ = ("x", "y", "_norms")
 
     def __init__(self, x_comp: ScalarField, y_comp: ScalarField):
         _require_same_grid(x_comp, y_comp)
         self.x = x_comp
         self.y = y_comp
-        self._div_sq = None
+        self._norms = {}
 
     @property
     def grid(self):
@@ -327,12 +328,24 @@ def laplacian(field: ScalarField) -> ScalarField:
 def perp_gradient(field: ScalarField) -> VectorField:
     """Rotated gradient (D_y psi, -D_x psi); discretely divergence-free."""
     g = field.grid
-    s = field._half
-    v = s * g._d1x
-    f = v.view(np.float64)  # a float negative, faster than the complex one
-    np.negative(f, out=f)
-    return VectorField(ScalarField._adopt(g, s * g._d1y),
-                       ScalarField._adopt(g, v))
+    return VectorField(*(ScalarField._adopt(g, h)
+                         for h in _rotated_gradient(g, field._half)))
+
+
+def _rotated_gradient(grid: Grid, s, out=(None, None)):
+    """(D_y s, -D_x s) of a half spectrum into out; -D_x s is negated as
+    floats, faster than the complex negative."""
+    u = np.multiply(s, grid._d1y, out=out[0])
+    v = np.multiply(s, grid._d1x, out=out[1])
+    np.negative(v.view(np.float64), out=v.view(np.float64))
+    return u, v
+
+
+def _kinematics(grid: Grid, w_h, out=(None, None, None)):
+    """Half spectra (psi, u, v) a vorticity induces, into out: psi =
+    w_h inv_ksq and its rotated gradient, the same bits for every asker."""
+    psi = np.multiply(w_h, grid._inv_ksq, out=out[0])
+    return (psi, *_rotated_gradient(grid, psi, out[1:]))
 
 
 def inner_product(f: ScalarField, g: ScalarField) -> float:
@@ -382,27 +395,32 @@ def _half_norm_sq(grid: Grid, half) -> float:
     return grid.length**2 * float(s)
 
 
-def _div_norm_sq(vel: VectorField, scratch=(None, None)) -> float:
-    """Squared discrete L2 norm of D_x u + D_y v by Parseval, cached on vel;
-    the two half spectra it forms go into scratch arrays when given."""
-    if vel._div_sq is None:
-        g = vel.grid
-        div = np.multiply(vel.x._half, g._d1x, out=scratch[0])
-        div += np.multiply(vel.y._half, g._d1y, out=scratch[1])
-        vel._div_sq = _half_norm_sq(g, div)
-    return vel._div_sq
+def _div_norm_sq(owner, planes=None, scratch=(None, None)) -> float:
+    """Squared discrete L2 norm of D_x u + D_y v by Parseval, cached on
+    owner, a VectorField or a vorticity for its induced velocity; planes
+    holds u and v, else _kinematics builds them; div goes into scratch."""
+    norms = owner._norms
+    if "div" not in norms:
+        g = owner.grid
+        u, v = _kinematics(g, owner._half)[1:] if planes is None else planes
+        div = np.multiply(u, g._d1x, out=scratch[0])
+        div += np.multiply(v, g._d1y, out=scratch[1])
+        norms["div"] = _half_norm_sq(g, div)
+    return norms["div"]
 
 
 def _parseval_table(grid: Grid):
     """The grid's Parseval table, built once: rows L^2 w_l ksq^m for the L2,
     H1 and H2 moments (m = 0, 1, 2), each entry repeated for the real and
-    imaginary parts of the interleaved float view of a half spectrum."""
+    imaginary parts of the interleaved float view of a half spectrum; a
+    fourth row L^2 w_l (|d1x|^2 + |d1y|^2) inv_ksq^2 is _norm_sq's."""
     if grid._parseval is None:
         powers = grid._ksq ** np.arange(3.0)[:, None, None]
-        rows = grid.length**2 * grid._weight * powers
-        grid._parseval = np.repeat(rows, 2, axis=-1).reshape(3, -1)
+        vel = (grid._d1x.imag**2 + grid._d1y.imag**2) * grid._inv_ksq.real**2
+        rows = grid.length**2 * grid._weight * np.concatenate([powers, [vel]])
+        grid._parseval = np.repeat(rows, 2, axis=-1).reshape(4, -1)
         grid._parseval.setflags(write=False)
-    return grid._parseval
+    return grid._parseval[:3]
 
 
 def _moments(grid: Grid, a, b, out=None):
@@ -416,13 +434,16 @@ def _moments(grid: Grid, a, b, out=None):
 def _norm_sq(field: ScalarField, m: int = 0, out=None) -> float:
     """Squared discrete H^m seminorm (L2 for m = 0) of a field by Parseval,
     cached on the field by this one producer, so its bits never depend on
-    who asks first. H1 and H2 come together from one _moments pass (its
-    product in out); L2, which every step takes, from _half_norm_sq."""
+    who asks first; m = -1 is ||u||^2 + ||v||^2 of its induced velocity.
+    H1, H2 and that norm come together: a _moments pass and the table's
+    fourth row over the squares in out. L2 comes from _half_norm_sq."""
     norms = field._norms
     if m not in norms:
         g, h = field.grid, field._half
-        if m in (1, 2):
-            _, norms[1], norms[2] = _moments(g, h, h, out).tolist()
+        if m in (-1, 1, 2):
+            sq = np.empty(2 * h.size) if out is None else out
+            _, norms[1], norms[2] = _moments(g, h, h, sq).tolist()
+            norms[-1] = float(g._parseval[3] @ sq)  # built by _moments
         else:
             norms[m] = _half_norm_sq(g, h if m == 0 else h * g._ksq**(m / 2))
     return norms[m]

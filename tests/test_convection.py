@@ -13,13 +13,14 @@ from vorspec import (
     VectorField,
     inner_product,
     l2_norm,
+    make_state,
     mean,
     perp_gradient,
     skew_convection,
     taylor_green_exact,
 )
 from vorspec.convection import _scratch, _skew_kernel
-from vorspec.spectral import _half_to_physical, _sup_norm
+from vorspec.spectral import _div_norm_sq, _half_to_physical, _sup_norm
 
 
 def reference_skew_convection(vel, omega, dealias=False):
@@ -96,7 +97,7 @@ def test_batched_kernel_matches_per_plane_bit_for_bit(noise, n, dealias):
         omega = noise(g, nyquist_free=nyquist_free)
         vel, w = perp_gradient(spectral_only(psi)), spectral_only(omega)
         scratch = _scratch(g)
-        got = _skew_kernel(vel, w, dealias, scratch)
+        got = _skew_kernel(w, dealias, scratch, vel)
         want = per_plane_skew_kernel(perp_gradient(spectral_only(psi)),
                                      spectral_only(omega), dealias)
         assert np.array_equal(got, want)
@@ -248,22 +249,24 @@ def test_kernel_reuses_scratch_without_stale_reads(noise, n, dealias):
     scratch = _scratch(g)
     for a in scratch:
         a.fill(np.nan)
-    got = [_skew_kernel(perp_gradient(psi), w, dealias, scratch)
+    got = [_skew_kernel(w, dealias, scratch, perp_gradient(psi))
            for psi, w in zip(psis, omegas)]
     for psi, w, res in zip(psis, omegas, got):
         vel = perp_gradient(psi)
-        assert np.array_equal(res, _skew_kernel(vel, w, dealias, _scratch(g)))
+        assert np.array_equal(res, _skew_kernel(w, dealias, _scratch(g), vel))
         want = reference_skew_convection(vel, w, dealias)[:, :n // 2 + 1]
         assert np.max(np.abs(res - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n", [64, 128])
 def test_kernel_allocates_no_transform_temporary(noise, n):
-    """A warm evaluation allocates its result alone: no physical view and
-    no transform temporary, since the passes run in the scratch stacks.
-    Measured slack over the result: 1072 B at N = 64 and 1008 B at
-    N = 128 (a cached omega view added N^2 8 B; a batched irfftn's
-    five-plane complex temporary, 169 kB at N = 64, far more)."""
+    """A warm evaluation allocates its result alone, with a given velocity
+    or with the one omega induces: no physical view, no transform
+    temporary and no psi, u or v, since the passes run in the scratch
+    stacks and the induced velocity is built there. Measured slack over
+    the result: 1072 B at N = 64 and 1008 B at N = 128 (a cached omega
+    view added N^2 8 B; a batched irfftn's five-plane complex temporary,
+    169 kB at N = 64, far more)."""
     g = Grid(n)
     psi, omega = noise(g), noise(g)
     scratch = _scratch(g)
@@ -271,13 +274,32 @@ def test_kernel_allocates_no_transform_temporary(noise, n):
     def spectral_only(f):  # a copy whose physical view is not yet formed
         return ScalarField._adopt(g, half=f._half)
 
-    _skew_kernel(perp_gradient(spectral_only(psi)), spectral_only(omega),
-                 False, scratch)
-    vel, w = perp_gradient(spectral_only(psi)), spectral_only(omega)
-    tracemalloc.start()
-    try:
-        result = _skew_kernel(vel, w, False, scratch)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= result.nbytes + 4096
+    _skew_kernel(spectral_only(omega), False, scratch,
+                 perp_gradient(spectral_only(psi)))
+    for vel in (perp_gradient(spectral_only(psi)), None):
+        w = spectral_only(omega)
+        tracemalloc.start()
+        try:
+            result = _skew_kernel(w, False, scratch, vel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= result.nbytes + 4096
+
+
+@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("dealias", [False, True])
+def test_one_kernel_with_two_loaders(noise, n, dealias):
+    """The public function, given the velocity make_state builds, and the
+    run's kernel, which builds the velocity omega induces in its scratch,
+    give the same result bit for bit, and the same divergence norm, cached
+    on the given velocity or on omega."""
+    g = Grid(n)
+    for nyquist_free in (True, False):
+        w = noise(g, nyquist_free=nyquist_free)
+        vel = make_state(w, 0.0).vel
+        given = skew_convection(vel, w, dealias=dealias)
+        induced = _skew_kernel(ScalarField._adopt(g, w._half), dealias,
+                               _scratch(g))
+        assert np.array_equal(given._half, induced)
+        assert vel._norms["div"] == _div_norm_sq(w)

@@ -225,6 +225,22 @@ def test_taylor_green_invariants():
     assert div_error(st) < 1e-13
 
 
+@pytest.mark.parametrize("length", [1.0, 2.0])
+@pytest.mark.parametrize("n", [15, 16])
+def test_energy_is_half_the_built_velocitys_squared_norm(noise, n, length):
+    """energy weighs omega's squares by Parseval and builds no velocity;
+    it is half the squared norm of the velocity the state builds, by node
+    sums, Nyquist content included (the first-derivative symbols zero it
+    on the velocity's side)."""
+    g = Grid(n, length=length)
+    for _ in range(3):
+        st = make_state(noise(g, nyquist_free=False), 0.0)
+        got = energy(st)
+        assert "vel" not in vars(st)
+        want = 0.5 * (l2_norm(st.vel.x) ** 2 + l2_norm(st.vel.y) ** 2)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 # --- stability functionals -----------------------------------------------------
 
 
@@ -392,7 +408,8 @@ def test_functionals_reject_levels_on_another_grid(coeffs, noise, other):
 def test_div_error_reads_the_norm_the_step_took(noise):
     """div_error is the Parseval norm of the divergence spectrum bit for
     bit, on a fresh state and on the flow states of run(), where the
-    convection's precondition left it cached on the velocity."""
+    convection's precondition left it cached on omega, the vorticity that
+    induces the velocity."""
     from vorspec.spectral import _half_norm_sq
 
     def formula(st):
@@ -403,14 +420,14 @@ def test_div_error_reads_the_norm_the_step_took(noise):
 
     g = Grid(16)
     st = make_state(noise(g, nyquist_free=False), 0.0)
-    assert st.vel._div_sq is None
+    assert "div" not in st.omega._norms
     assert div_error(st) == formula(st)
     flows = []
     run(noise(g), RunConfig(n=16, dt=1e-3, nu=1e-3, t_final=0.005),
         observer=lambda k, flow: flows.append(flow))
     assert len(flows) == 6
     for flow in flows:
-        assert flow.vel._div_sq is not None
+        assert "div" in flow.omega._norms
         assert div_error(flow) == formula(flow)
 
 

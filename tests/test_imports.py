@@ -157,3 +157,25 @@ def test_only_spectral_touches_the_norm_caches():
 def test_only_spectral_touches_the_node_cache():
     assert mentions(NODE_CACHE, ("spectral.py",)) == []
     assert mentions(GRID_NODES) == []
+
+
+def attribute_reads(source: str, names):
+    """Lines where source reads an attribute whose name is in names."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load) and node.attr in names})
+
+
+def test_attribute_read_scan_sees_loads_only():
+    source = "a = flow.psi\nflow.vel.x = 1\nb = flow.omega\nc.psi = 2\n"
+    assert attribute_reads(source, ("psi", "vel")) == [1, 2]
+
+
+def test_the_step_loop_reads_no_psi_or_velocity():
+    """The step and the convection work from omega alone: the flow states
+    they hand out build psi and the velocity only when someone asks."""
+    found = [f"{name}:{line}" for name in ("integrators.py", "convection.py")
+             for line in attribute_reads(
+                 (PACKAGE_DIR / name).read_text(encoding="utf-8"),
+                 ("psi", "vel"))]
+    assert found == []

@@ -26,7 +26,9 @@ from vorspec import (
     laplacian,
     make_state,
     mean,
+    perp_gradient,
     run,
+    solve_poisson,
     taylor_green_exact,
 )
 from vorspec.spectral import _half_to_physical, _sup_norm
@@ -493,14 +495,42 @@ def test_handed_out_arrays_stay_put(noise, dealias):
 
 def test_step_memory_budget(step_planes):
     """A step holds only the history, the scratch stacks and tables and
-    the state it hands out: under 26 half-spectrum planes of traced memory
-    between two observer calls on every step, startup included (a BDF3
-    step read 26.0 to 26.2 when the convection cached omega's node values
-    and step 1 27.6 when it also kept its half-step state; 36 when each
-    step also kept the previous state, older levels' node values and u's
-    and v's)."""
+    the omega it hands out: under 24 half-spectrum planes of traced memory
+    between two observer calls on every step, startup included, and under
+    22.5 on every third-order step (measured 22.1 to 22.2, step 1 23.6; a
+    BDF3 step read 25.1 to 25.3 when each flow state held psi, u and v and
+    the oldest level lived through the convection, 26.0 to 26.2 when the
+    convection also cached omega's node values, and 36 when each step also
+    kept the previous state, older levels' node values and u's and v's)."""
     assert len(step_planes) == 13
-    assert max(step_planes) < 26.0
+    assert max(step_planes) < 24.0
+    assert max(step_planes[3:]) < 22.5
+
+
+def test_flow_states_build_psi_and_velocity_only_when_asked():
+    """Neither the step, a record, a snapshot sink nor an observer that
+    reads only omega builds a handed-out state's psi or velocity; asked
+    for after the run, they are perp_gradient(solve_poisson(omega)) bit
+    for bit."""
+    g = Grid(16)
+    spec = v.ShearLayerSpec(rho=30.0, delta=0.05, nu=1e-4)
+    observed, snapped, records = [], [], []
+    summary = run(v.shear_layer_init(g, spec),
+                  RunConfig(n=16, dt=8e-4, nu=1e-4, t_final=8 * 8e-4,
+                            snapshot_every=2),
+                  series_sink=records.append,
+                  snapshot_sink=lambda k, flow: snapped.append(flow),
+                  observer=lambda k, flow: observed.append((flow,
+                                                            flow.omega)))
+    kept = [flow for flow, _ in observed] + snapped + [summary.final_state]
+    assert len(observed) == len(records) == 9 and len(snapped) == 5
+    assert all("psi" not in vars(f) and "vel" not in vars(f) for f in kept)
+    for flow in kept:
+        psi = solve_poisson(flow.omega)
+        vel = perp_gradient(psi)
+        assert flow.psi._half.tobytes() == psi._half.tobytes()
+        for got, want in zip(flow.vel, vel):
+            assert got._half.tobytes() == want._half.tobytes()
 
 
 def test_node_values_asked_for_late_are_the_same_bits():

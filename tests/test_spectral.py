@@ -334,8 +334,15 @@ def test_cached_norms_match_uncached_parseval_sums(noise, n):
     h = noise(g, nyquist_free=False)
     k = 2.0 * np.pi / g.length * g.wavenumbers
     ksq = k[:, None] ** 2 + k[None, :] ** 2
+    # the squared first-derivative symbols, zero on the even-N Nyquist
+    # row and column, over ksq^2: the velocity weight of m = -1
+    d1sq = np.where((g.wavenumbers == -(n // 2)) & (n % 2 == 0), 0.0, k)**2
+    vel_weight = np.divide(d1sq[:, None] + d1sq[None, :], ksq**2,
+                           out=np.zeros_like(ksq), where=ksq > 0)
+    orders = (-1, 0, 1, 2)
     for a in (f, h):  # fill the operands' caches before deriving fields
-        assert [_norm_sq(a, m) for m in range(3)] == list(a._norms.values())
+        taken = {m: _norm_sq(a, m) for m in orders}
+        assert {m: a._norms[m] for m in orders} == taken
     fields = {
         "from_physical": ScalarField.from_physical(g, f.physical),
         "fortran_order": ScalarField.from_physical(
@@ -352,5 +359,8 @@ def test_cached_norms_match_uncached_parseval_sums(noise, n):
             got = _norm_sq(field, m)
             assert got == pytest.approx(want, rel=1e-13, abs=0.0), (name, m)
             assert _norm_sq(field, m) is got, (name, m)  # read from the cache
+        want = g.length**2 * float(np.sum(power * vel_weight))
+        assert _norm_sq(field, -1) == pytest.approx(want, rel=1e-13,
+                                                    abs=0.0), name
         l2sq = g.spacing**2 * float(np.sum(field.physical ** 2))
         assert _norm_sq(field) == pytest.approx(l2sq, rel=1e-13), name
