@@ -24,8 +24,8 @@ from .errors import BlowUpError, ConfigError
 from .fields import FlowState, make_state
 from .integrators import RunConfig, SchemeId, run
 from .output import format_float
-from .spectral import (Grid, ScalarField, _half_norm_sq, _kinematics,
-                       _parseval_table, derivative)
+from .spectral import (Grid, ScalarField, _half_norm_sq,
+                       _kinematic_error_table, derivative)
 
 __all__ = [
     "TaylorGreenSpec",
@@ -159,49 +159,30 @@ class ConvergenceRow:
         return "polluted" if self.polluted else "ok"
 
 
-def _exact_stack(exact0: FlowState):
-    """The half spectra of exact0's omega, psi, u and v, the fields whose
-    errors the table takes, as one read-only (4, N, N//2 + 1) stack."""
-    ref = np.stack([f._half for f in (exact0.omega, exact0.psi, *exact0.vel)])
-    ref.setflags(write=False)
-    return ref
-
-
 class _ErrorAccumulator:
-    """Per-step error tracking against the exact decaying vortex.
+    """Per-step error tracking against the exact decaying vortex, whose
+    spectrum is the initial one, ref, times exp(-8 nu pi^2 t). psi and
+    (u, v) are linear in omega, so their errors are those omega's error
+    induces: an observation forms that one plane, squares it in place as
+    floats and takes the L2 and H1 moments of all three errors in one
+    product with spectral._kinematic_error_table; it makes no transform."""
 
-    Errors are accumulated spectrally: the exact solution scales every mode
-    by the same decay factor, so the reference spectra are the initial ones
-    (ref, see _exact_stack) times exp(-8 nu pi^2 t). One observation builds
-    psi, u and v from omega in one error buffer shaped like ref, subtracts
-    the scaled reference through two work planes, and takes the L2 and H1
-    moments of its four planes in one product with the grid's Parseval
-    table; it makes no transform and asks the flow state for no velocity.
-    """
-
-    def __init__(self, grid: Grid, ref, nu: float, dt: float):
+    def __init__(self, ref, table, nu: float, dt: float):
         self.ref = ref
         self.err = np.empty_like(ref)
-        self.work = np.empty_like(ref[:2])
-        self.table = _parseval_table(grid)[:2]
+        self.table = table
         self.rate = -8.0 * nu * np.pi**2
         self.dt = dt
         self.linf = [0.0, 0.0, 0.0]
         self.h1sq = [0.0, 0.0, 0.0]
 
     def observe(self, step: int, flow: FlowState):
-        err, ref = self.err, self.ref
-        err[0] = flow.omega._half
-        _kinematics(flow.grid, err[0], out=err[1:])
-        decay = np.exp(self.rate * flow.time)
-        for i in (0, 2):  # the scaled reference, two planes at a time
-            err[i:i + 2] -= np.multiply(ref[i:i + 2], decay, out=self.work)
-        sq = err.view(np.float64).reshape(len(err), -1)
+        err = np.multiply(self.ref, np.exp(self.rate * flow.time), self.err)
+        np.subtract(flow.omega._half, err, out=err)
+        sq = err.view(np.float64).ravel()
         np.square(sq, out=sq)
-        (l2w, l2p, l2u, l2v), (h1w, h1p, h1u, h1v) = \
-            (self.table @ sq.T).tolist()
-        for i, (l2sq, h1sq) in enumerate(
-                ((l2w, h1w), (l2p, h1p), (l2u + l2v, h1u + h1v))):
+        moments = (self.table @ sq).tolist()
+        for i, (l2sq, h1sq) in enumerate(zip(moments[:3], moments[3:])):
             self.linf[i] = max(self.linf[i], math.sqrt(l2sq))
             self.h1sq[i] += self.dt * h1sq
 
@@ -216,21 +197,21 @@ def convergence_study(n: int, nu: float, t_final: float,
                       dealias: bool = False) -> list:
     """Temporal convergence table on the decaying vortex.
 
-    Runs the scheme once per step size, measuring the max-over-steps L2
-    error and the accumulated (dt sum ||grad e||^2)^{1/2} error for the
-    vorticity, the stream function, and the velocity against the exact
-    solution at every step. Observed orders are log2 ratios between
+    Runs the scheme once per step size and measures, at every step, the
+    vorticity's error against the exact one and the stream function's and
+    velocity's errors it induces: max-over-steps L2 and accumulated
+    (dt sum ||grad e||^2)^{1/2}. Observed orders are log ratios between
     consecutive rows, reported only when both rows are ok.
     """
     cfgs = _rung_configs(n, nu, t_final, dts, scheme, dealias)
     grid = Grid(n)
     exact0 = taylor_green_exact(grid, TaylorGreenSpec(nu=nu))
-    ref = _exact_stack(exact0)
+    ref, table = exact0.omega._half, _kinematic_error_table(grid)
 
     per_dt = []
     status = []
     for cfg in cfgs:
-        acc = _ErrorAccumulator(grid, ref, nu, cfg.dt)
+        acc = _ErrorAccumulator(ref, table, nu, cfg.dt)
         try:
             summary = run(exact0.omega, cfg, observer=acc.observe)
         except BlowUpError:

@@ -280,7 +280,7 @@ def _functionals(history, nu: float, dt: float, grid=None, work=None):
     prod = np.empty((4, w0.size)) if work is None else work
     for row, (a, b) in zip(prod, ((w0, w1), (w0, w2), (w1, w2))):
         np.multiply(a, b, out=row)
-    cross = (prod[:3] @ _parseval_table(grid).T).tolist()
+    cross = (prod[:3] @ _parseval_table(grid)[:3].T).tolist()
     # [m] = the Gram entries in _GRAM_ORDER
     gram = [[_norm_sq(f, m, prod[3]) for f in hist] + [c[m] for c in cross]
             for m in range(3)]

@@ -409,18 +409,36 @@ def _div_norm_sq(owner, planes=None, scratch=(None, None)) -> float:
     return norms["div"]
 
 
+def _parseval_rows(grid: Grid, symbols):
+    """Rows L^2 w_l s of real half-spectrum symbols s, each entry repeated
+    for the real and imaginary parts of a half spectrum's interleaved float
+    view, so a row times that view's squares is a Parseval sum."""
+    rows = grid.length**2 * grid._weight * np.asarray(symbols)
+    return np.repeat(rows, 2, axis=-1).reshape(len(rows), -1)
+
+
+def _vel_symbol(grid: Grid):
+    """(|d1x|^2 + |d1y|^2) inv_ksq^2, (|u_hat|^2 + |v_hat|^2) / |w_hat|^2."""
+    return (grid._d1x.imag**2 + grid._d1y.imag**2) * grid._inv_ksq.real**2
+
+
 def _parseval_table(grid: Grid):
-    """The grid's Parseval table, built once: rows L^2 w_l ksq^m for the L2,
-    H1 and H2 moments (m = 0, 1, 2), each entry repeated for the real and
-    imaginary parts of the interleaved float view of a half spectrum; a
-    fourth row L^2 w_l (|d1x|^2 + |d1y|^2) inv_ksq^2 is _norm_sq's."""
+    """The grid's Parseval table, built once: rows ksq^m for the L2, H1 and
+    H2 moments (m = 0, 1, 2), then _norm_sq's velocity row."""
     if grid._parseval is None:
-        powers = grid._ksq ** np.arange(3.0)[:, None, None]
-        vel = (grid._d1x.imag**2 + grid._d1y.imag**2) * grid._inv_ksq.real**2
-        rows = grid.length**2 * grid._weight * np.concatenate([powers, [vel]])
-        grid._parseval = np.repeat(rows, 2, axis=-1).reshape(4, -1)
+        ksq_m = grid._ksq ** np.arange(3.0)[:, None, None]
+        grid._parseval = _parseval_rows(grid, [*ksq_m, _vel_symbol(grid)])
         grid._parseval.setflags(write=False)
-    return grid._parseval[:3]
+    return grid._parseval
+
+
+def _kinematic_error_table(grid: Grid):
+    """Rows 1, inv_ksq^2 and the velocity symbol, then each times ksq: from
+    the squares of a vorticity error plane, the L2 and then the H1 moments
+    of the omega, psi and velocity errors it induces."""
+    l2 = np.stack([np.ones_like(grid._ksq), grid._inv_ksq.real**2,
+                   _vel_symbol(grid)])
+    return _parseval_rows(grid, np.concatenate([l2, l2 * grid._ksq]))
 
 
 def _moments(grid: Grid, a, b, out=None):
@@ -428,7 +446,7 @@ def _moments(grid: Grid, a, b, out=None):
     Parseval table over the product of their interleaved float views, made
     in out when given (a float array of that size)."""
     a, b = (np.ascontiguousarray(x).view(np.float64).ravel() for x in (a, b))
-    return _parseval_table(grid) @ np.multiply(a, b, out=out)
+    return _parseval_table(grid)[:3] @ np.multiply(a, b, out=out)
 
 
 def _norm_sq(field: ScalarField, m: int = 0, out=None) -> float:
@@ -443,7 +461,7 @@ def _norm_sq(field: ScalarField, m: int = 0, out=None) -> float:
         if m in (-1, 1, 2):
             sq = np.empty(2 * h.size) if out is None else out
             _, norms[1], norms[2] = _moments(g, h, h, sq).tolist()
-            norms[-1] = float(g._parseval[3] @ sq)  # built by _moments
+            norms[-1] = float(_parseval_table(g)[3] @ sq)
         else:
             norms[m] = _half_norm_sq(g, h if m == 0 else h * g._ksq**(m / 2))
     return norms[m]

@@ -128,9 +128,10 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
-# the norm caches of ScalarField and VectorField, which spectral._norm_sq
-# and spectral._div_norm_sq alone fill, so that a norm's bits never depend
-# on which caller took it first
+# the norm caches of ScalarField and VectorField, which spectral._norm_sq,
+# spectral._div_norm_sq and spectral._sup_norm alone fill, so that a norm's
+# bits never depend on which caller took it first; _div_sq is banned too,
+# so that a divergence norm stays a "div" entry of _norms, not a slot
 CACHE_NAMES = re.compile(r"\b(_norms|_div_sq)\b")
 # the node-value cache of ScalarField, which only its constructor and its
 # physical property fill and no code empties, so a run writes and clears
@@ -171,11 +172,28 @@ def test_attribute_read_scan_sees_loads_only():
     assert attribute_reads(source, ("psi", "vel")) == [1, 2]
 
 
+def attribute_reads_in(files, names):
+    """file:line of every read of an attribute in names in the files."""
+    return [f"{name}:{line}" for name in files
+            for line in attribute_reads(
+                (PACKAGE_DIR / name).read_text(encoding="utf-8"), names)]
+
+
 def test_the_step_loop_reads_no_psi_or_velocity():
     """The step and the convection work from omega alone: the flow states
     they hand out build psi and the velocity only when someone asks."""
-    found = [f"{name}:{line}" for name in ("integrators.py", "convection.py")
-             for line in attribute_reads(
-                 (PACKAGE_DIR / name).read_text(encoding="utf-8"),
-                 ("psi", "vel"))]
-    assert found == []
+    assert attribute_reads_in(("integrators.py", "convection.py"),
+                              ("psi", "vel")) == []
+
+
+# the Grid tables holding the kinematic symbols and the Parseval layout
+GRID_TABLES = ("_d1x", "_d1y", "_ksq", "_inv_ksq", "_weight", "_parseval",
+               "_neg_rows")
+
+
+def test_studies_and_records_read_no_grid_table():
+    """The convergence study and the diagnostics take their Parseval rows
+    from spectral's helpers, so the symbols and the layout live in
+    spectral.py alone."""
+    assert attribute_reads_in(("bench.py", "diagnostics.py"),
+                              GRID_TABLES) == []
