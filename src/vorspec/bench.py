@@ -212,14 +212,14 @@ def convergence_study(n: int, nu: float, t_final: float,
     status = []
     for cfg in cfgs:
         acc = _ErrorAccumulator(ref, table, nu, cfg.dt)
-        try:
-            summary = run(exact0.omega, cfg, observer=acc.observe)
+        try:  # the summary goes at once: its omega views the run's ring
+            tail = _tail_fraction(run(exact0.omega, cfg, observer=acc.observe)
+                                  .final_state.omega)
         except BlowUpError:
             per_dt.append(None)
             status.append("blowup")
         else:
             per_dt.append(acc.results())
-            tail = _tail_fraction(summary.final_state.omega)
             status.append("polluted" if tail > POLLUTED_TAIL_FRACTION
                           else "ok")
 

@@ -44,9 +44,11 @@ def _scratch(grid):
     return np.empty((5, n, n // 2 + 1), complex), np.empty((5, n, n))
 
 
-def _skew_kernel(omega: ScalarField, dealias: bool, scratch, vel=None):
-    """Half spectrum (rfft2 layout) of N(u, omega), a fresh array, for the
-    velocity omega induces (built in scratch) or for vel (copied in).
+def _skew_kernel(omega: ScalarField, dealias: bool, scratch, vel=None,
+                 out=None):
+    """Half spectrum (rfft2 layout) of N(u, omega), into out or a fresh
+    array, for the velocity omega induces (built in scratch) or for vel
+    (copied in).
 
     Checks the divergence precondition by Parseval on the half spectra
     before any transform, leaving ||omega||_2 cached on omega for run()'s
@@ -91,7 +93,8 @@ def _skew_kernel(omega: ScalarField, dealias: bool, scratch, vel=None):
     spec[0] += np.multiply(spec[2], grid._d1y, out=spec[2])
     np.fft.fft(spec[:2], axis=-2, norm="forward", out=spec[:2])
     spec[0][0, 0] = 0.0  # the advective mean: D_y and D_x vanish there
-    result = np.add(spec[0], np.multiply(spec[1], grid._d1x, out=spec[1]))
+    result = np.add(spec[0], np.multiply(spec[1], grid._d1x, out=spec[1]),
+                    out=out)
     if dealias:
         result *= grid.dealias_mask[:, :grid.n // 2 + 1]
     return result

@@ -96,8 +96,10 @@ def poincare_ratio(field: ScalarField) -> float:
 
     The discrete Poincare inequality bounds this by L / (2 pi) for fields
     without Nyquist content (the lowest nonzero mode is extremal). Returns
-    0 for the zero field.
+    0 for the zero field; a mean beyond MEAN_TOLERANCE raises
+    MeanViolationError, as in solve_poisson.
     """
+    _check_mean(mean(field), "poincare_ratio argument")
     gr = gradient(field)
     denom = np.hypot(l2_norm(gr.x), l2_norm(gr.y))
     if denom == 0.0:

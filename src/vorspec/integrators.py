@@ -22,19 +22,23 @@ z = -nu (2 pi / L)^2 |k|^2 dt, which damps the mode only while z >= -2.
 run() is the one way to advance a solution and holds the only step loop;
 its observer sees the flow state of every step from step 0 on, and the
 domain length comes from the initial vorticity's grid. Its one history,
-read by steps and records, is the three newest (omega field, N half
-spectrum in rfft2 layout) levels, the oldest dropped once the implicit
-solve has read it. A step costs one convection evaluation of omega,
-fourteen 1-D plane passes in four numpy calls, and hands observers and
-sinks a flow state holding omega, which builds psi and the velocity only
-if asked, and which every step but the last drops. Besides it a run holds
-only the history, the scratch stacks and its tables.
+read by steps and records, is a ring of the three newest levels' omega
+and N half spectra (rfft2 layout), allocated once per run: a step's
+right-hand side is one product of a weight row with the ring, and its
+solve and convection write the new level into the rows of the oldest.
+A step costs one convection evaluation of omega, fourteen 1-D plane
+passes in four numpy calls, and hands observers and sinks a flow state
+holding omega, a read-only view of its ring row that is copied out only
+if someone still holds it when the row is reused; psi and the velocity
+are built only if asked, and every step but the last drops the state.
+Besides it a run holds only the ring, the scratch stacks and its tables.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -45,7 +49,7 @@ from .convection import _scratch, _skew_kernel
 from .diagnostics import _DEPTH, SeriesRecord, make_record
 from .errors import BlowUpError, ConfigError
 from .fields import FlowState, _check_mean, _project_mean
-from .spectral import Grid, ScalarField, _norm_sq, mean
+from .spectral import Grid, ScalarField, _detach, _norm_sq, mean
 
 __all__ = [
     "SchemeId",
@@ -74,9 +78,10 @@ class SchemeId(Enum):
 
 
 # scheme -> (a, vorticity weights c_j, convection weights e_j), newest level
-# first: (a/dt - nu Lap) w' = sum_j (c_j/dt) w_j + sum_j e_j N_j + f'. The c_j
-# are applied as p/(q dt): rounding them otherwise biases every step alike,
-# a drift that shows on the finest rungs of the convergence ladder
+# first: (a/dt - nu Lap) w' = sum_j (c_j/dt) w_j + sum_j e_j N_j + f'. _solver
+# lays them out as one weight row per ring slot, the c_j still as p/(q dt):
+# rounding them otherwise biases every step alike, a drift that shows on the
+# finest rungs of the convergence ladder
 _WEIGHTS = {
     SchemeId.IMEX_EULER: (Fraction(1), (Fraction(1),), (-0.5,)),
     SchemeId.IMEX_BDF2: (Fraction(3, 2), (Fraction(2), Fraction(-1, 2)),
@@ -171,11 +176,11 @@ def _inverse_symbol(grid: Grid, a: float, dt: float, nu: float):
     return (1.0 / (a / dt + nu * grid._ksq)).astype(np.complex128)
 
 
-def _helmholtz(rhs_h, inverse):
+def _helmholtz(rhs_h, inverse, out=None):
     """Per-mode solve of a half spectrum, a product with the rounded
-    reciprocal table of _inverse_symbol, into a fresh array."""
+    reciprocal table of _inverse_symbol, into out or a fresh array."""
     _check_mean(rhs_h[0, 0].real, "helmholtz right-hand side")
-    return rhs_h * inverse
+    return np.multiply(rhs_h, inverse, out=out)
 
 
 def helmholtz_solve(rhs: ScalarField, a: float, dt: float,
@@ -183,12 +188,16 @@ def helmholtz_solve(rhs: ScalarField, a: float, dt: float,
     """Solve (a/dt - nu Lap_N) w = rhs per mode, by the product with the
     rounded reciprocal of the symbol (bit-equal to dividing by it).
 
-    The symbol a/dt + nu * 4 pi^2 |k|^2 / L^2 is strictly positive, so the
-    solve is total; a mean-free rhs yields a mean-free solution since the
-    k = 0 mode is scaled by dt/a alone.
+    a, dt and nu must be finite with a > 0, dt > 0, a/dt > 0 and nu >= 0;
+    then the symbol a/dt + nu * 4 pi^2 |k|^2 / L^2 is strictly positive, so
+    the solve is total; a mean-free rhs yields a mean-free solution since
+    the k = 0 mode is scaled by dt/a alone. Raises ValueError otherwise.
     """
-    if not (a > 0 and dt > 0):
-        raise ValueError("helmholtz_solve needs a > 0 and dt > 0")
+    if not (all(math.isfinite(x) for x in (a, dt, nu))
+            and a > 0 and dt > 0 and a / dt > 0 and nu >= 0):
+        raise ValueError(f"helmholtz_solve needs finite a > 0 and dt > 0 "
+                         f"with a/dt > 0 and nu >= 0, got a = {a}, "
+                         f"dt = {dt}, nu = {nu}")
     g = rhs.grid
     return ScalarField._adopt(g, _helmholtz(
         rhs._half, _inverse_symbol(g, float(a), dt, nu)))
@@ -206,54 +215,80 @@ def _forcing_half(forcing, t: float, grid: Grid):
 
 
 def _solver(grid: Grid, scheme: SchemeId, dt: float, nu: float):
-    """(c_j/dt, e_j, 1/(a/dt + nu ksq)) of one scheme, built once per run:
-    the vorticity weights as p/(q dt) (see _WEIGHTS), the convection
-    weights and the inverse table of _helmholtz."""
-    a, w_weights, n_weights = _WEIGHTS[scheme]
-    return (tuple(c.numerator / (c.denominator * dt) for c in w_weights),
-            n_weights, _inverse_symbol(grid, float(a), dt, nu))
+    """(rows, dt, 1/(a/dt + nu ksq)) of one scheme, built once per run.
 
-
-def _implicit_omega(grid: Grid, levels, solver, forcing, t: float,
-                    scratch):
-    """Vorticity half spectrum at time t by one step of an IMEX scheme.
-
-    levels is run()'s history; levels beyond the scheme's depth are
-    ignored; solver is the scheme's _solver. The right-hand side is summed
-    in two planes of scratch's complex stack.
+    rows[s] weighs the history ring's rows (see run()) for the step whose
+    new level goes into slot s: the vorticity weights as p/(q dt) (see
+    _WEIGHTS) and the convection weights, each on the slot of its level.
+    The slots of levels the scheme does not read get weight 0. dt is the
+    step of the forcing times, the table the inverse of _helmholtz.
     """
-    w_weights, n_weights, inverse = solver
-    f_h = _forcing_half(forcing, t, grid)
-    rhs, tmp = scratch[0][:2]
-    (c, (w, _)), *rest = zip(w_weights, levels)
-    np.multiply(c, w._half, out=rhs)
-    for c, (w, _) in rest:
-        rhs += np.multiply(c, w._half, out=tmp)
-    for c, (_, conv) in zip(n_weights, levels):
-        rhs += np.multiply(c, conv, out=tmp)
+    a, w_weights, n_weights = _WEIGHTS[scheme]
+    rows = np.zeros((_DEPTH, 2 * _DEPTH))
+    for s in range(_DEPTH):
+        for j, (c, e) in enumerate(zip(w_weights, n_weights)):
+            slot = (s - 1 - j) % _DEPTH
+            rows[s, slot] = c.numerator / (c.denominator * dt)
+            rows[s, _DEPTH + slot] = e
+    return rows, dt, _inverse_symbol(grid, float(a), dt, nu)
+
+
+def _implicit_omega(grid: Grid, ring, k: int, solver, forcing, scratch):
+    """Vorticity of step k by one step of an IMEX scheme, into its ring
+    row k % _DEPTH; solver is the scheme's _solver.
+
+    The right-hand side is one product of the slot's weight row with the
+    ring's float view, into the first plane of scratch's complex stack. A
+    row with weight 0 adds an exact 0: it holds zeros from the ring's
+    start, a vorticity whose finite norm passed the blow-up guard, or a
+    convection an earlier step read with a nonzero weight into a level
+    that passed it, so finite in every mode but the mean, which each step
+    projects away.
+    """
+    rows, dt, inverse = solver
+    f_h = _forcing_half(forcing, k * dt, grid)
+    rhs, slot = scratch[0][0], k % _DEPTH
+    np.dot(rows[slot], ring.view(np.float64).reshape(len(ring), -1),
+           out=rhs.view(np.float64).reshape(-1))
     if f_h is not None:
         rhs += f_h
-    return _project_mean(_helmholtz(rhs, inverse))
+    return _project_mean(_helmholtz(rhs, inverse, out=ring[slot]))
 
 
-def _explicit_rhs(grid: Grid, w_h, conv_h, nu: float, forcing, t: float):
-    """Fully explicit right-hand side -N/2 + nu Lap w + f on half spectra."""
-    rhs = -0.5 * conv_h + nu * (-grid._ksq * w_h)
-    f_h = _forcing_half(forcing, t, grid)
-    return rhs if f_h is None else rhs + f_h
+def _midpoint_omega(grid: Grid, ring, cfg: RunConfig, forcing, scratch):
+    """Vorticity of step 1 by one explicit-midpoint step, into ring row 1.
 
+    Each stage's fully explicit right-hand side -N/2 + nu Lap w + f is
+    formed in the ring's free rows 1, 2, 4 and 5 in the order of the
+    expression -0.5 * N + nu * (-ksq * w) + f, so its bits are those of
+    that expression; no half-step flow state is built. Rows 2 and 5,
+    which step 2 reads with weight 0, are zeroed at the end.
+    """
+    w0, conv0 = ring[0], ring[_DEPTH]
+    w_mid, stage, lap = ring[2], ring[_DEPTH + 2], ring[_DEPTH + 1]
+    dt, nu = cfg.dt, cfg.nu
 
-def _midpoint_omega(grid: Grid, levels, cfg: RunConfig, forcing, scratch):
-    """Vorticity half spectrum of step 1 by one explicit-midpoint step;
-    no half-step flow state, and the first stage dropped once read."""
-    (omega0, conv0), *_ = levels
-    w0, dt, nu = omega0._half, cfg.dt, cfg.nu
-    w_mid = _project_mean(
-        w0 + 0.5 * dt * _explicit_rhs(grid, w0, conv0, nu, forcing, 0.0))
-    conv_mid = _skew_kernel(ScalarField._adopt(grid, w_mid), cfg.dealias,
-                            scratch)
-    k2 = _explicit_rhs(grid, w_mid, conv_mid, nu, forcing, 0.5 * dt)
-    return _project_mean(w0 + dt * k2)
+    def explicit_rhs(w_h, conv_h, t, out):
+        """-N/2 + nu Lap w + f into out (which may be conv_h)."""
+        np.multiply(-0.5, conv_h, out=out)
+        np.negative(grid._ksq, out=lap.real)
+        lap.imag = 0.0
+        out += np.multiply(nu, np.multiply(lap, w_h, out=lap), out=lap)
+        f_h = _forcing_half(forcing, t, grid)
+        if f_h is not None:
+            out += f_h
+        return out
+
+    explicit_rhs(w0, conv0, 0.0, stage)
+    _project_mean(np.add(w0, np.multiply(0.5 * dt, stage, out=w_mid),
+                         out=w_mid))
+    _skew_kernel(ScalarField._adopt(grid, w_mid), cfg.dealias, scratch,
+                 out=stage)
+    explicit_rhs(w_mid, stage, 0.5 * dt, stage)
+    w1 = _project_mean(np.add(w0, np.multiply(dt, stage, out=stage),
+                              out=ring[1]))
+    ring[2::_DEPTH] = 0.0
+    return w1
 
 
 def _check_blowup(w_l2: float, ref_l2: float, step: int, last_record):
@@ -295,11 +330,17 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
         Receives (step, FlowState) for every step including step 0
         (measurement hook; convergence studies use it).
 
-    Each step takes the new vorticity and its convection under an
-    errstate that leaves overflow to the blow-up guard; the guard,
-    observer, record and snapshot run under the caller's. Every step but
-    the last ends by dropping its flow state; nothing in the loop writes
-    or clears a node cache.
+    The history is one zeroed (2 _DEPTH, N, N//2 + 1) complex ring: the
+    vorticity rows, then the convection rows, step k in slot k % _DEPTH.
+    Each step writes the new vorticity and its convection into its slot's
+    two rows under an errstate that leaves overflow to the blow-up guard;
+    the guard, observer, record and snapshot run under the caller's.
+    Every omega the run hands out (to observers, sinks, records and the
+    final state) is a read-only view of its row. Before a row is reused,
+    a field that is still held outside the run gets its own copy of the
+    same bits (spectral._detach); one nobody holds costs nothing. Every
+    step but the last ends by dropping its flow state; nothing in the loop
+    writes or clears a node cache.
 
     Returns RunSummary; raises ConfigError before step 0 when omega0's L2
     norm is not finite, and BlowUpError when the solution leaves the
@@ -314,6 +355,7 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
     records = []
     last_record = None
     scratch = _scratch(grid)
+    ring = np.zeros((2 * _DEPTH, grid.n, grid.n // 2 + 1), complex)
     # a record's 3 cross products and 1 norm product go into the complex
     # stack, free between steps, viewed as 5 float rows of K = its floats
     record_work = scratch[0].view(np.float64).reshape(5, -1)[:4]
@@ -321,25 +363,32 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
 
     def imex(scheme):
         solver = _solver(grid, scheme, dt, cfg.nu)
-        return lambda levels, t: _implicit_omega(grid, levels, solver,
-                                                 forcing, t, scratch)
+        return lambda k: _implicit_omega(grid, ring, k, solver, forcing,
+                                         scratch)
 
-    schedule = [lambda levels, t: _midpoint_omega(grid, levels, cfg, forcing,
-                                                  scratch)][:need - 1]
+    schedule = [lambda k: _midpoint_omega(grid, ring, cfg, forcing,
+                                          scratch)][:need - 1]
     schedule += [imex(s) for s in SchemeId if 1 < s.history_required < need]
     rule = imex(cfg.scheme)
-    w_h = _project_mean(np.array(omega0._half))
-    levels = ()
+    levels = ()  # the omega fields of the ring, newest first
     for k in range(n_steps + 1):
+        if len(levels) == _DEPTH:  # the oldest level's row is reused
+            oldest = weakref.ref(levels[-1])
+            levels = levels[:-1]
+            if oldest() is not None:
+                _detach(oldest())
         # an overflowing step leaves inf or nan for the blow-up guard to
         # report; observers and sinks run outside, under their own errstate
         with np.errstate(over="ignore", invalid="ignore"):
-            if k > 0:
-                w_h = (schedule.pop(0) if schedule else rule)(levels, k * dt)
-                levels = levels[:_DEPTH - 1]  # the solve read the oldest
+            if k == 0:
+                ring[0] = omega0._half
+                w_h = _project_mean(ring[0])
+            else:
+                w_h = (schedule.pop(0) if schedule else rule)(k)
             flow = FlowState(ScalarField._adopt(grid, w_h), k * dt)
-            conv_h = _skew_kernel(flow.omega, cfg.dealias, scratch)
-        levels = ((flow.omega, conv_h),) + levels
+            _skew_kernel(flow.omega, cfg.dealias, scratch,
+                         out=ring[_DEPTH + k % _DEPTH])
+        levels = (flow.omega,) + levels
         # the convection's divergence precondition cached ||w||_2 on omega
         w_l2 = math.sqrt(_norm_sq(flow.omega))
         if k == 0:
@@ -348,8 +397,8 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
         if observer is not None:
             observer(k, flow)
         if k % cfg.series_every == 0 or k == n_steps:
-            last_record = make_record(flow, [w for w, _ in levels],
-                                      cfg.nu, dt, _work=record_work)
+            last_record = make_record(flow, levels, cfg.nu, dt,
+                                      _work=record_work)
             records.append(last_record)
             if series_sink is not None:
                 series_sink(last_record)

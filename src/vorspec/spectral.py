@@ -158,13 +158,15 @@ class ScalarField:
     is value-immutable: all arrays are exposed read-only and arithmetic
     returns new fields. Its squared Parseval seminorms, max|f| and, as a
     vorticity, its velocity's squared and divergence norms are cached
-    beside the value once taken. The spectral property expands the
+    beside the value once taken. run() hands out fields that view its
+    history ring; _detach gives one its own copy, the same bits, before the
+    ring reuses the row. The spectral property expands the
     full (n, n) coefficients on each access; a full spectrum F given to the
     constructor keeps its Hermitian part (F + conj F[-k, -l]) / 2, the
     spectrum of ifft2(F).real.
     """
 
-    __slots__ = ("grid", "_phys", "_half", "_norms")
+    __slots__ = ("grid", "_phys", "_half", "_norms", "__weakref__")
 
     def __init__(self, grid: Grid, physical=None, spectral=None):
         if (physical is None) == (spectral is None):
@@ -409,12 +411,25 @@ def _div_norm_sq(owner, planes=None, scratch=(None, None)) -> float:
     return norms["div"]
 
 
-def _parseval_rows(grid: Grid, symbols):
-    """Rows L^2 w_l s of real half-spectrum symbols s, each entry repeated
-    for the real and imaginary parts of a half spectrum's interleaved float
-    view, so a row times that view's squares is a Parseval sum."""
-    rows = grid.length**2 * grid._weight * np.asarray(symbols)
-    return np.repeat(rows, 2, axis=-1).reshape(len(rows), -1)
+def _parseval_rows(grid: Grid, symbols, rows=None):
+    """Rows L^2 w_l s of a stack of real half-spectrum symbols s, each entry
+    repeated for the real and imaginary parts of a half spectrum's
+    interleaved float view, so a row times that view's squares is a
+    Parseval sum. The weights scale the stack, a caller's fresh array, in
+    place, one plane at a time from a full weight plane kept in the last
+    row until its turn (a broadcast product would take numpy buffers);
+    the rows go into rows when given, a float array of shape
+    (len(symbols), 2 N (N//2 + 1))."""
+    if rows is None:
+        rows = np.empty((len(symbols), 2 * symbols[0].size))
+    weights = rows[-1, :symbols[0].size].reshape(symbols.shape[1:])
+    weights[...] = grid.length**2 * grid._weight
+    for s in symbols:
+        np.multiply(s, weights, out=s)
+    pairs = rows.reshape(*symbols.shape, 2)
+    pairs[..., 0] = symbols
+    pairs[..., 1] = symbols
+    return rows
 
 
 def _vel_symbol(grid: Grid):
@@ -424,11 +439,17 @@ def _vel_symbol(grid: Grid):
 
 def _parseval_table(grid: Grid):
     """The grid's Parseval table, built once: rows ksq^m for the L2, H1 and
-    H2 moments (m = 0, 1, 2), then _norm_sq's velocity row."""
+    H2 moments (m = 0, 1, 2), then _norm_sq's velocity row, filled one
+    symbol stack at a time."""
     if grid._parseval is None:
+        # the powers first, so numpy's buffers for them are gone by then
         ksq_m = grid._ksq ** np.arange(3.0)[:, None, None]
-        grid._parseval = _parseval_rows(grid, [*ksq_m, _vel_symbol(grid)])
-        grid._parseval.setflags(write=False)
+        table = np.empty((4, 2 * grid._ksq.size))
+        _parseval_rows(grid, ksq_m, table[:3])
+        del ksq_m
+        _parseval_rows(grid, _vel_symbol(grid)[None], table[3:])
+        table.setflags(write=False)
+        grid._parseval = table
     return grid._parseval
 
 
@@ -478,3 +499,12 @@ def _sup_norm(field: ScalarField, nodes=None) -> float:
             p = field.physical if nodes is None else nodes
         norms["sup"] = float(max(p.max(), -p.min()))
     return norms["sup"]
+
+
+def _detach(field: ScalarField):
+    """Give a field that views a reused array (a row of run()'s history
+    ring) its own read-only copy of its half spectrum, the same bits; the
+    one place, besides construction, where a field's memory changes."""
+    half = field._half.copy()
+    half.setflags(write=False)
+    field._half = half

@@ -85,6 +85,27 @@ def test_poincare_ratio_of_the_zero_field_is_zero():
     assert poincare_ratio(zero) == 0.0
 
 
+@pytest.mark.parametrize("shift", [
+    lambda x: np.ones_like(x),                    # constant: ratio was 0.0
+    lambda x: 1.0 + np.sin(2 * np.pi * x),        # ratio was 0.276 > 1/(2 pi)
+])
+def test_poincare_ratio_refuses_a_mean(shift):
+    """A field with a mean has no Poincare bound; it is refused as
+    solve_poisson refuses one, not answered with a ratio."""
+    g = Grid(8)
+    X, _ = g.nodes()
+    with pytest.raises(MeanViolationError, match="mean-free"):
+        poincare_ratio(ScalarField.from_physical(g, shift(X)))
+
+
+def test_poincare_ratio_accepts_a_roundoff_mean():
+    """A mean inside MEAN_TOLERANCE is roundoff and is accepted."""
+    g = Grid(32)
+    X, _ = g.nodes()
+    f = ScalarField.from_physical(g, np.sin(2 * np.pi * X) + 1e-12)
+    assert poincare_ratio(f) == pytest.approx(1.0 / (2 * np.pi), rel=1e-9)
+
+
 def test_poincare_bound_random_fields(noise):
     g = Grid(16)
     bound = 1.0 / (2 * np.pi) + 1e-12

@@ -155,6 +155,35 @@ def test_only_spectral_touches_the_norm_caches():
     assert mentions(CACHE_NAMES, ("spectral.py",)) == []
 
 
+def attribute_stores(source: str, names):
+    """Lines where source assigns, augments or deletes an attribute whose
+    name is in names."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, (ast.Store, ast.Del))
+                   and node.attr in names})
+
+
+def test_attribute_store_scan_sees_stores_only():
+    source = ("a = f._half\nf._half = a\ng.x._half += 1\n"
+              "h._half: int = 2\nb = [f._half]\ndel f._half\n")
+    assert attribute_stores(source, ("_half",)) == [2, 3, 4, 6]
+
+
+def test_only_spectral_assigns_a_fields_value():
+    """A field's half spectrum is set by its constructor and changed only
+    by spectral._detach, which gives a field viewing run()'s history ring
+    a copy of the same bits before the row is reused: no other module
+    moves a field's memory."""
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(paths) >= 10, f"package sources not found in {PACKAGE_DIR}"
+    found = [f"{path.name}:{line}" for path in paths
+             if path.name != "spectral.py"
+             for line in attribute_stores(path.read_text(encoding="utf-8"),
+                                          ("_half",))]
+    assert found == []
+
+
 def test_only_spectral_touches_the_node_cache():
     assert mentions(NODE_CACHE, ("spectral.py",)) == []
     assert mentions(GRID_NODES) == []

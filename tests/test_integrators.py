@@ -6,6 +6,7 @@ manufactured solution with genuinely active convection checks the global
 order of each scheme, startup chain included.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -133,6 +134,27 @@ def test_helmholtz_inverts_operator(noise):
 def test_helmholtz_rejects_nonpositive_a_or_dt(noise, a, dt):
     with pytest.raises(ValueError, match="a > 0 and dt > 0"):
         helmholtz_solve(noise(Grid(8)), a=a, dt=dt, nu=0.1)
+
+
+@pytest.mark.parametrize("a, dt, nu", [
+    (1.0, 1.0, -1.0 / (4 * np.pi**2)),  # zero symbol at the lowest mode
+    (1.5, 0.01, -1e-3), (1.5, 0.01, np.nan), (1.5, 0.01, np.inf),
+    (1.5, np.inf, 0.1), (np.inf, 0.01, 0.1), (np.nan, 0.01, 0.1),
+    (1.5, np.nan, 0.1), (1e-300, 1e300, 0.1),  # a/dt underflows to 0
+])
+def test_helmholtz_rejects_a_symbol_that_is_not_positive(noise, a, dt, nu):
+    """Each case gave a symbol that is zero, infinite or NaN in some mode,
+    and the solve returned NaN, inf or a zero field, mostly with
+    RuntimeWarnings; it is now refused before any table is built."""
+    with pytest.raises(ValueError, match="a > 0 and dt > 0"):
+        helmholtz_solve(noise(Grid(8)), a=a, dt=dt, nu=nu)
+
+
+def test_helmholtz_accepts_zero_viscosity(noise):
+    """nu = 0 leaves the symbol a/dt: the solve scales by dt/a."""
+    f = noise(Grid(8))
+    w = helmholtz_solve(f, a=1.5, dt=0.01, nu=0.0)
+    assert np.allclose(w._half, f._half * (0.01 / 1.5), rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("n", [8, 15, 64, 128])
@@ -494,17 +516,101 @@ def test_handed_out_arrays_stay_put(noise, dealias):
 
 
 def test_step_memory_budget(step_planes):
-    """A step holds only the history, the scratch stacks and tables and
-    the omega it hands out: under 24 half-spectrum planes of traced memory
-    between two observer calls on every step, startup included, and under
-    22.5 on every third-order step (measured 22.1 to 22.2, step 1 23.6; a
-    BDF3 step read 25.1 to 25.3 when each flow state held psi, u and v and
-    the oldest level lived through the convection, 26.0 to 26.2 when the
-    convection also cached omega's node values, and 36 when each step also
-    kept the previous state, older levels' node values and u's and v's)."""
+    """A step holds only the history ring, the scratch stacks and tables:
+    under 24 half-spectrum planes of traced memory between two observer
+    calls on every step, startup included, and under 21.5 on every
+    third-order step (measured 21.1 to 21.3, step 1 23.5, with the ring of
+    six planes allocated before step 0; 22.1 to 22.2 and step 1 23.6 when
+    each step allocated its omega and N planes afresh, 25.1 to 25.3 when
+    each flow state held psi, u and v and the oldest level lived through
+    the convection, 26.0 to 26.2 when the convection also cached omega's
+    node values, and 36 when each step also kept the previous state,
+    older levels' node values and u's and v's)."""
     assert len(step_planes) == 13
     assert max(step_planes) < 24.0
-    assert max(step_planes[3:]) < 22.5
+    assert max(step_planes[3:]) < 21.5
+
+
+# all-in traced peaks (from before Grid()) measured on the thick layer at
+# N = 64: a third-order step 29.2 to 29.4 planes, step 1 31.7; the margin
+# is the step bound's
+_ALL_IN_BDF3, _ALL_IN_STEP1 = 29.7, 32.0
+
+
+def test_all_in_memory_budget():
+    """Traced from before Grid() is built, so the grid's mode tables, the
+    initial vorticity and the Parseval table count too (thick layer,
+    N = 64, 12 BDF3 steps, a record every step): every third-order step
+    and step 1 stay under their measured peaks plus a small margin."""
+    n, dt, steps = 64, 8e-4, 12
+    plane = n * (n // 2 + 1) * 16
+    peaks = []
+
+    def observe(k, flow):
+        peaks.append(tracemalloc.get_traced_memory()[1] / plane)
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        omega0 = v.shear_layer_init(Grid(n), v.ShearLayerSpec(
+            rho=30.0, delta=0.05, nu=1e-4))
+        run(omega0, RunConfig(n=n, dt=dt, nu=1e-4, t_final=steps * dt),
+            observer=observe)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == steps + 1
+    assert max(peaks[3:]) < _ALL_IN_BDF3
+    assert peaks[1] < _ALL_IN_STEP1
+
+
+def _counting_detach(monkeypatch):
+    """Count the copies run() gives the fields it handed out."""
+    calls = []
+    detach = integrators._detach
+
+    def counted(field):
+        calls.append(field)
+        detach(field)
+
+    monkeypatch.setattr(integrators, "_detach", counted)
+    return calls
+
+
+def test_kept_levels_keep_their_bits_through_ring_reuse(monkeypatch, noise):
+    """An observer that keeps every third flow state over 30 BDF3 steps
+    finds each kept omega, after the run, equal bit for bit to a copy taken
+    when it was observed. Each kept level whose ring row a later step
+    reused was copied once, and only then: 10 of the 11 kept, the last
+    still viewing its row. Handed-out omegas are read-only."""
+    calls = _counting_detach(monkeypatch)
+    kept = []
+
+    def observe(k, flow):
+        assert not flow.omega._half.flags.writeable
+        if k % 3 == 0:
+            kept.append((k, flow.omega, flow.omega._half.tobytes()))
+
+    g = Grid(16)
+    summary = run(noise(g), RunConfig(n=16, dt=1e-3, nu=NU, t_final=0.03),
+                  observer=observe)
+    assert summary.steps == 30 and len(kept) == 11
+    for k, omega, bits in kept:
+        assert omega._half.tobytes() == bits, k
+    assert [id(f) for f in calls] == [id(w) for _, w, _ in kept[:-1]]
+    assert kept[-1][1] is summary.final_state.omega
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_a_run_that_keeps_nothing_copies_nothing(monkeypatch, noise, scheme):
+    """With no observer or sink holding a level, no row is ever copied
+    out: every reused row's field is gone by then."""
+    calls = _counting_detach(monkeypatch)
+    g = Grid(16)
+    run(noise(g), RunConfig(n=16, dt=1e-3, nu=NU, t_final=0.02,
+                            scheme=scheme, snapshot_every=3),
+        series_sink=lambda record: None,
+        snapshot_sink=lambda k, flow: None, observer=lambda k, flow: None)
+    assert calls == []
 
 
 def test_flow_states_build_psi_and_velocity_only_when_asked():
