@@ -21,11 +21,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BlowUpError, ConfigError
-from .fields import FlowState, make_state
+from .fields import FlowState, _check_finite, make_state
 from .integrators import RunConfig, SchemeId, run
 from .output import format_float
 from .spectral import (Grid, ScalarField, _half_norm_sq,
-                       _kinematic_error_table, derivative)
+                       _kinematic_error_table, _parseval_sums, derivative)
 
 __all__ = [
     "TaylorGreenSpec",
@@ -58,6 +58,7 @@ class TaylorGreenSpec:
     t: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self, ("nu", "t"))
         if not (self.nu > 0):
             raise ConfigError(f"nu must be positive, got {self.nu}")
 
@@ -75,10 +76,7 @@ class ShearLayerSpec:
     nu: float
 
     def __post_init__(self):
-        for name in ("rho", "delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+        _check_finite(self, ("rho", "delta", "nu"))
         if not (self.rho > 0):
             raise ConfigError(f"rho must be positive, got {self.rho}")
         if self.delta < 0:
@@ -163,9 +161,9 @@ class _ErrorAccumulator:
     """Per-step error tracking against the exact decaying vortex, whose
     spectrum is the initial one, ref, times exp(-8 nu pi^2 t). psi and
     (u, v) are linear in omega, so their errors are those omega's error
-    induces: an observation forms that one plane, squares it in place as
-    floats and takes the L2 and H1 moments of all three errors in one
-    product with spectral._kinematic_error_table; it makes no transform."""
+    induces: an observation forms that one plane and squares it in place
+    in one spectral._parseval_sums pass of _kinematic_error_table, for the
+    L2 and H1 moments of all three errors; it makes no transform."""
 
     def __init__(self, ref, table, nu: float, dt: float):
         self.ref = ref
@@ -179,9 +177,7 @@ class _ErrorAccumulator:
     def observe(self, step: int, flow: FlowState):
         err = np.multiply(self.ref, np.exp(self.rate * flow.time), self.err)
         np.subtract(flow.omega._half, err, out=err)
-        sq = err.view(np.float64).ravel()
-        np.square(sq, out=sq)
-        moments = (self.table @ sq).tolist()
+        moments, = _parseval_sums(self.table, [(err, err)], err[None])
         for i, (l2sq, h1sq) in enumerate(zip(moments[:3], moments[3:])):
             self.linf[i] = max(self.linf[i], math.sqrt(l2sq))
             self.h1sq[i] += self.dt * h1sq

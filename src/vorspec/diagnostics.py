@@ -33,7 +33,8 @@ import numpy as np
 from .errors import GridMismatchError
 from .fields import FlowState
 from .spectral import (Grid, ScalarField, _div_norm_sq, _norm_sq,
-                       _parseval_table, _sup_norm, inner_product, l2_norm)
+                       _parseval_sums, _parseval_table, _sup_norm,
+                       inner_product, l2_norm)
 
 __all__ = [
     "TelescopeCoeffs",
@@ -258,14 +259,12 @@ def _functionals(history, nu: float, dt: float, grid=None, work=None):
     at m = 0, (r1, r2) = (7/8, 5/24), e = (7/4, 15/32, 13/64) and at
     m = 1, (r1, r2) = (5/6, 1/6), e = (37/24, 17/48, 17/96): quadratic
     forms in the levels, read off their H^m Gram matrices. The cross
-    products w0 w1, w0 w2 and w1 w2 of the levels' interleaved float views
-    go into the first three rows of one (4, K) array, work when given (a
-    float array of that shape), and one product with the grid's Parseval
-    table gives their L2, H1 and H2 moments. The diagonals are the levels'
-    norms, read through _norm_sq, whose H1 and H2 pass uses the fourth
-    row: the one producer of a norm, so a record's digits do not depend on
-    what took a norm first. Every level must be on grid (default: the
-    first level's).
+    products w0 w1, w0 w2 and w1 w2 take their moments from one
+    spectral._parseval_sums pass, in work when given (a complex stack of
+    five half-spectrum planes); the diagonals are the levels' norms, read
+    through _norm_sq, their one producer, so a record's digits do not
+    depend on what took a norm first. Every level must be on grid
+    (default: the first level's).
     """
     hist = list(history)[:_DEPTH]
     if not hist:
@@ -275,14 +274,11 @@ def _functionals(history, nu: float, dt: float, grid=None, work=None):
     if any(f.grid != grid for f in hist):
         raise GridMismatchError(f"history levels on {[f.grid for f in hist]}"
                                 f", expected all on {grid}")
-    w0, w1, w2 = (np.ascontiguousarray(f._half).view(np.float64).ravel()
-                  for f in hist)
-    prod = np.empty((4, w0.size)) if work is None else work
-    for row, (a, b) in zip(prod, ((w0, w1), (w0, w2), (w1, w2))):
-        np.multiply(a, b, out=row)
-    cross = (prod[:3] @ _parseval_table(grid)[:3].T).tolist()
+    w0, w1, w2 = (f._half for f in hist)
+    cross = _parseval_sums(_parseval_table(grid)[:3],
+                           [(w0, w1), (w0, w2), (w1, w2)], work)
     # [m] = the Gram entries in _GRAM_ORDER
-    gram = [[_norm_sq(f, m, prod[3]) for f in hist] + [c[m] for c in cross]
+    gram = [[_norm_sq(f, m, work) for f in hist] + [c[m] for c in cross]
             for m in range(3)]
     return tuple(sum(q * g for q, g in zip(qs, gram[m]))
                  + nu * dt * sum(e * g for e, g in zip(es, gram[m + 1]))
@@ -335,9 +331,8 @@ def make_record(state: FlowState, history=None, nu: float = 0.0,
     come by Parseval from the spectral views, or for max_omega from the
     norm that run()'s convection caches, so a record in a run costs no
     transform. Norm columns are their defining functions' or producers'
-    bits (l2_omega is hm_norm(omega, 0)). _work is run()'s
-    buffer for the products of _functionals; without it a record allocates
-    its own.
+    bits (l2_omega is hm_norm(omega, 0)). _work is run()'s complex stack
+    for the products of _functionals; without it a record allocates one.
     """
     if history is None:
         history = [state.omega]

@@ -8,12 +8,13 @@ discretely divergence-free by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import MeanViolationError
+from .errors import ConfigError, MeanViolationError
 from .spectral import (Grid, ScalarField, VectorField, gradient, l2_norm,
                        mean, perp_gradient)
 
@@ -52,6 +53,14 @@ class FlowState:
     @cached_property
     def vel(self) -> VectorField:
         return perp_gradient(self.psi)
+
+
+def _check_finite(obj, names):
+    """Refuse an attribute of obj in names that is not a finite number."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ConfigError(
+                f"{name} must be finite, got {getattr(obj, name)}")
 
 
 def _check_mean(m: float, what: str):

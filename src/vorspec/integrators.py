@@ -48,7 +48,7 @@ import numpy as np
 from .convection import _scratch, _skew_kernel
 from .diagnostics import _DEPTH, SeriesRecord, make_record
 from .errors import BlowUpError, ConfigError
-from .fields import FlowState, _check_mean, _project_mean
+from .fields import FlowState, _check_finite, _check_mean, _project_mean
 from .spectral import Grid, ScalarField, _detach, _norm_sq, mean
 
 __all__ = [
@@ -100,7 +100,7 @@ class RunConfig:
     at least the steps the scheme's startup takes; series records are
     emitted every series_every steps (plus step 0 and the final step),
     snapshots every snapshot_every steps when positive. n and both cadences
-    must be Python or numpy integers.
+    must be Python or numpy integers, scheme a SchemeId, dealias a bool.
     """
 
     n: int
@@ -117,12 +117,13 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.scheme, SchemeId):
+            raise ConfigError(f"scheme must be a SchemeId, got {self.scheme!r}")
+        if not isinstance(self.dealias, (bool, np.bool_)):
+            raise ConfigError(f"dealias must be a bool, got {self.dealias!r}")
         if self.n < 4:
             raise ConfigError(f"grid size must be at least 4, got {self.n}")
-        for name in ("dt", "nu", "t_final"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+        _check_finite(self, ("dt", "nu", "t_final"))
         if not (self.dt > 0):
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not (self.nu > 0):
@@ -356,9 +357,6 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
     last_record = None
     scratch = _scratch(grid)
     ring = np.zeros((2 * _DEPTH, grid.n, grid.n // 2 + 1), complex)
-    # a record's 3 cross products and 1 norm product go into the complex
-    # stack, free between steps, viewed as 5 float rows of K = its floats
-    record_work = scratch[0].view(np.float64).reshape(5, -1)[:4]
     t0 = time.perf_counter()
 
     def imex(scheme):
@@ -398,7 +396,7 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
             observer(k, flow)
         if k % cfg.series_every == 0 or k == n_steps:
             last_record = make_record(flow, levels, cfg.nu, dt,
-                                      _work=record_work)
+                                      _work=scratch[0])
             records.append(last_record)
             if series_sink is not None:
                 series_sink(last_record)

@@ -19,12 +19,14 @@ Nyquist content; on odd grids the identity is unconditional.
 
 Every field is real, so the package holds only half spectra in rfft2
 layout, shape (N, N//2 + 1): columns l = 0 .. N//2, the rest following from
-Hermitian symmetry fhat[-k, -l] = conj(fhat[k, l]). The tables, the
-operators below and the time loop all work on this layout; at even N column
-N//2 is the Nyquist column, whose first-derivative symbol is zeroed like the
-Nyquist row. A ScalarField's one value is its half spectrum, and its node
-values are only a cache; the full (N, N) array exists only at the API
-edge, in ScalarField.spectral.
+Hermitian symmetry fhat[-k, -l] = conj(fhat[k, l]). The mode and Parseval
+tables (real rows L^2 w_l s, w_l = 2 where a column also stands for its
+conjugate, else 1), the operators and the time loop all work on this
+layout, which only _parseval_sums reads as (real, imaginary) float pairs.
+At even N column N//2 is the Nyquist column, whose first-derivative symbol
+is zeroed like the Nyquist row. A ScalarField's one value is its half
+spectrum, and its node values are only a cache; the full (N, N) array
+exists only at the API edge, in ScalarField.spectral.
 """
 
 from __future__ import annotations
@@ -60,8 +62,7 @@ class Grid:
     """
 
     __slots__ = ("n", "length", "spacing", "wavenumbers", "_d1x", "_d1y",
-                 "_ksq", "_inv_ksq", "_weight", "_neg_rows", "_dealias_mask",
-                 "_parseval")
+                 "_ksq", "_inv_ksq", "_neg_rows", "_dealias_mask", "_parseval")
 
     def __init__(self, n: int, length: float = 1.0):
         if not isinstance(n, (int, np.integer)) or n < 1:
@@ -102,18 +103,11 @@ class Grid:
                              f"tables, got {length!r}")
         self._d1x = np.ascontiguousarray(np.broadcast_to(d1[:, None], (n, m)))
         self._d1y = np.ascontiguousarray(np.broadcast_to(d1[None, :m], (n, m)))
-        # Parseval weights of the columns: every column but l = 0 and the
-        # even-N Nyquist column also stands for its conjugate
-        self._weight = np.full(m, 2.0)
-        self._weight[0] = 1.0
-        if self.n % 2 == 0:
-            self._weight[-1] = 1.0
         self._neg_rows = -np.arange(self.n) % self.n  # row index of -k
         for arr in (self._d1x, self._d1y, self._ksq, self._inv_ksq,
-                    self._weight, self._neg_rows):
+                    self._neg_rows):
             arr.setflags(write=False)
-        self._dealias_mask = None
-        self._parseval = None
+        self._dealias_mask = self._parseval = None
 
     def nodes(self):
         """Node coordinate arrays (X, Y), each of shape (n, n), ij indexing,
@@ -191,7 +185,7 @@ class ScalarField:
 
     def _init(self, grid, half, phys):
         self.grid = grid
-        self._half = half
+        self._half = np.ascontiguousarray(half)  # for its float view
         self._half.setflags(write=False)
         self._phys = phys
         self._norms = {}
@@ -411,78 +405,86 @@ def _div_norm_sq(owner, planes=None, scratch=(None, None)) -> float:
     return norms["div"]
 
 
-def _parseval_rows(grid: Grid, symbols, rows=None):
-    """Rows L^2 w_l s of a stack of real half-spectrum symbols s, each entry
-    repeated for the real and imaginary parts of a half spectrum's
-    interleaved float view, so a row times that view's squares is a
-    Parseval sum. The weights scale the stack, a caller's fresh array, in
-    place, one plane at a time from a full weight plane kept in the last
-    row until its turn (a broadcast product would take numpy buffers);
-    the rows go into rows when given, a float array of shape
-    (len(symbols), 2 N (N//2 + 1))."""
-    if rows is None:
-        rows = np.empty((len(symbols), 2 * symbols[0].size))
-    weights = rows[-1, :symbols[0].size].reshape(symbols.shape[1:])
-    weights[...] = grid.length**2 * grid._weight
-    for s in symbols:
-        np.multiply(s, weights, out=s)
-    pairs = rows.reshape(*symbols.shape, 2)
-    pairs[..., 0] = symbols
-    pairs[..., 1] = symbols
-    return rows
+def _vel_symbol(grid: Grid, out=None, tmp=None):
+    """(|d1x|^2 + |d1y|^2) inv_ksq^2, (|u_hat|^2 + |v_hat|^2) / |w_hat|^2,
+    by IEEE products, into out when given, with tmp for a partial one."""
+    x, y, inv = grid._d1x.imag, grid._d1y.imag, grid._inv_ksq.real
+    out = np.multiply(x, x, out=out)
+    out += np.multiply(y, y, out=tmp)
+    out *= np.multiply(inv, inv, out=tmp)
+    return out
 
 
-def _vel_symbol(grid: Grid):
-    """(|d1x|^2 + |d1y|^2) inv_ksq^2, (|u_hat|^2 + |v_hat|^2) / |w_hat|^2."""
-    return (grid._d1x.imag**2 + grid._d1y.imag**2) * grid._inv_ksq.real**2
+def _weighted(grid: Grid, rows):
+    """Read-only rows L^2 w_l s, shape (len(rows), N (N//2 + 1)), from a
+    fresh stack of real half-spectrum symbols s, the first 1, which takes
+    the weights and scales the others in place with no numpy buffer."""
+    rows[0] = grid.length * grid.length
+    rows[0][:, 1:(grid.n + 1) // 2] = 2.0 * rows[0, 0, 0]
+    for row in rows[1:]:
+        row *= rows[0]
+    table = rows.reshape(len(rows), -1)
+    table.setflags(write=False)
+    return table
 
 
 def _parseval_table(grid: Grid):
-    """The grid's Parseval table, built once: rows ksq^m for the L2, H1 and
-    H2 moments (m = 0, 1, 2), then _norm_sq's velocity row, filled one
-    symbol stack at a time."""
+    """The grid's Parseval table, built once: rows 1, ksq and ksq ksq for
+    the L2, H1 and H2 moments, then _norm_sq's velocity row."""
     if grid._parseval is None:
-        # the powers first, so numpy's buffers for them are gone by then
-        ksq_m = grid._ksq ** np.arange(3.0)[:, None, None]
-        table = np.empty((4, 2 * grid._ksq.size))
-        _parseval_rows(grid, ksq_m, table[:3])
-        del ksq_m
-        _parseval_rows(grid, _vel_symbol(grid)[None], table[3:])
-        table.setflags(write=False)
-        grid._parseval = table
+        rows = np.empty((4, *grid._ksq.shape))
+        _vel_symbol(grid, rows[3], rows[2])
+        rows[1] = grid._ksq
+        np.multiply(grid._ksq, grid._ksq, out=rows[2])
+        grid._parseval = _weighted(grid, rows)
     return grid._parseval
 
 
 def _kinematic_error_table(grid: Grid):
-    """Rows 1, inv_ksq^2 and the velocity symbol, then each times ksq: from
-    the squares of a vorticity error plane, the L2 and then the H1 moments
-    of the omega, psi and velocity errors it induces."""
-    l2 = np.stack([np.ones_like(grid._ksq), grid._inv_ksq.real**2,
-                   _vel_symbol(grid)])
-    return _parseval_rows(grid, np.concatenate([l2, l2 * grid._ksq]))
+    """Rows 1, inv_ksq^2 and the velocity symbol, then each times ksq: the
+    L2, then H1, moments of the omega, psi and u errors of an omega error."""
+    ksq, inv = grid._ksq, grid._inv_ksq.real
+    rows = np.empty((6, *ksq.shape))
+    np.multiply(inv, inv, out=rows[1])
+    _vel_symbol(grid, rows[2], rows[3])
+    rows[3] = ksq
+    np.multiply(rows[1:3], ksq, out=rows[4:])
+    return _weighted(grid, rows)
 
 
-def _moments(grid: Grid, a, b, out=None):
-    """Re<a, b> in L2, H1 and H2 of two half spectra: one pass of the grid's
-    Parseval table over the product of their interleaved float views, made
-    in out when given (a float array of that size)."""
-    a, b = (np.ascontiguousarray(x).view(np.float64).ravel() for x in (a, b))
-    return _parseval_table(grid)[:3] @ np.multiply(a, b, out=out)
+def _parseval_sums(table, pairs, out=None):
+    """Per pair (a, b) of C-contiguous half spectra, the sums table @
+    Re(a conj b) over their modes, one per row of a Parseval table. The one
+    code that knows their (real, imaginary) float pairs: it multiplies the
+    float views into a plane of out per pair (a complex stack of
+    2 len(pairs) - 1 planes, made if None). One pair's two columns are
+    summed after a matrix product, so its plane may be a (a square in
+    place); several pairs' go into the next planes for one product."""
+    n = len(pairs)
+    if out is None:
+        out = np.empty((2 * n - 1, *pairs[0][0].shape), complex)
+    prods = out.view(np.float64)
+    for p, (a, b) in zip(prods, pairs):
+        np.multiply(a.view(np.float64), b.view(np.float64), out=p)
+    if n == 1:
+        cols = (table @ prods[0].reshape(-1, 2)).tolist()
+        return [[re + im for re, im in cols]]
+    sums = prods[n:].reshape(-1)[:out[:n].real.size].reshape(out[:n].shape)
+    np.add(out[:n].real, out[:n].imag, out=sums)
+    return (sums.reshape(n, -1) @ table.T).tolist()
 
 
 def _norm_sq(field: ScalarField, m: int = 0, out=None) -> float:
     """Squared discrete H^m seminorm (L2 for m = 0) of a field by Parseval,
     cached on the field by this one producer, so its bits never depend on
     who asks first; m = -1 is ||u||^2 + ||v||^2 of its induced velocity.
-    H1, H2 and that norm come together: a _moments pass and the table's
-    fourth row over the squares in out. L2 comes from _half_norm_sq."""
+    L2 is _half_norm_sq; H1, H2 and m = -1 one _parseval_sums pass (out)."""
     norms = field._norms
     if m not in norms:
         g, h = field.grid, field._half
         if m in (-1, 1, 2):
-            sq = np.empty(2 * h.size) if out is None else out
-            _, norms[1], norms[2] = _moments(g, h, h, sq).tolist()
-            norms[-1] = float(_parseval_table(g)[3] @ sq)
+            (_, norms[1], norms[2], norms[-1]), = _parseval_sums(
+                _parseval_table(g), [(h, h)], out)
         else:
             norms[m] = _half_norm_sq(g, h if m == 0 else h * g._ksq**(m / 2))
     return norms[m]

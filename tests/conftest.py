@@ -5,7 +5,7 @@ realized through a physical round trip so they are exactly real. Even-N
 grids zero their first-derivative Nyquist multipliers, so helpers default
 to Nyquist-free spectra; tests that probe the Nyquist behavior opt out.
 The fft_calls fixture counts the numpy.fft calls of a test, and
-step_planes measures the traced memory of a run's steps.
+step_planes measures the traced memory of a run's steps and records.
 """
 
 import math
@@ -62,6 +62,29 @@ def divfree(rng):
     return make
 
 
+def full_spectrum_sums(grid, a, b):
+    """[L2, H1, H2, velocity] sums L^2 sum Re(A conj B) s over the full
+    (N, N) spectra A and B that complete the half spectra a and b by
+    Hermitian symmetry, with s = 1, |k|^2, |k|^4 and (|d_x|^2 + |d_y|^2) /
+    |k|^4, the first-derivative symbols zeroed at the even-N Nyquist mode:
+    a Parseval oracle independent of the package's tables and weights."""
+    n = grid.n
+    k = 2.0 * np.pi / grid.length * grid.wavenumbers
+    d1 = np.where((n % 2 == 0) & (grid.wavenumbers == -(n // 2)), 0.0, k)
+    ksq = k[:, None] ** 2 + k[None, :] ** 2
+    vel = np.divide(d1[:, None] ** 2 + d1[None, :] ** 2, ksq ** 2,
+                    out=np.zeros_like(ksq), where=ksq > 0)
+    neg = -np.arange(n) % n
+
+    def full(h):  # column l > N//2 is conj of column N - l at row -k
+        return np.concatenate(
+            [h, np.conj(h[neg][:, n - np.arange(h.shape[1], n)])], axis=1)
+
+    prod = (full(a) * np.conj(full(b))).real
+    return [grid.length ** 2 * float(np.sum(prod * s))
+            for s in (1.0, ksq, ksq ** 2, vel)]
+
+
 FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
              "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
 
@@ -91,27 +114,38 @@ def fft_calls(monkeypatch):
     return calls
 
 
+def traced_planes(n, run_it):
+    """Peak traced memory of run_it(observer, series_sink), in half-spectrum
+    planes of N (N/2 + 1) complex numbers, read and reset at every observer
+    and series sink call: steps[k] ends at step k's observer call, so it
+    holds step k alone, and records[k] ends at its record's sink call, so
+    it holds that record alone (step 0's builds the Parseval table)."""
+    plane = n * (n // 2 + 1) * 16
+    steps, records = [], []
+
+    def reading(peaks):
+        def read(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1] / plane)
+            tracemalloc.reset_peak()
+        return read
+
+    tracemalloc.start()
+    try:
+        run_it(reading(steps), reading(records))
+    finally:
+        tracemalloc.stop()
+    return steps, records
+
+
 @pytest.fixture(scope="session")
 def step_planes():
-    """Peak traced memory between consecutive observer calls of the thick
-    layer (N = 64, 12 BDF3 steps, a record every step), in half-spectrum
-    planes of N (N/2 + 1) complex numbers; entry k ends at step k's
-    observer call. Tracing starts just before run(), so the grid and the
-    initial vorticity are not counted. Measured once per session."""
+    """(steps, records) of traced_planes on the thick layer (N = 64, 12
+    BDF3 steps, a record every step). Tracing starts just before run(), so
+    the grid and the initial vorticity are not counted. Measured once per
+    session."""
     n, dt, steps = 64, 8e-4, 12
     omega0 = shear_layer_init(Grid(n), ShearLayerSpec(rho=30.0, delta=0.05,
                                                       nu=1e-4))
     cfg = RunConfig(n=n, dt=dt, nu=1e-4, t_final=steps * dt)
-    plane = n * (n // 2 + 1) * 16
-    peaks = []
-
-    def observe(k, flow):
-        peaks.append(tracemalloc.get_traced_memory()[1] / plane)
-        tracemalloc.reset_peak()
-
-    tracemalloc.start()
-    try:
-        run(omega0, cfg, observer=observe)
-    finally:
-        tracemalloc.stop()
-    return peaks
+    return traced_planes(n, lambda observe, sink: run(
+        omega0, cfg, observer=observe, series_sink=sink))

@@ -28,7 +28,9 @@ from vorspec import (
 )
 from vorspec.bench import _ErrorAccumulator
 from vorspec.integrators import RunConfig, run
-from vorspec.spectral import _kinematic_error_table, _moments
+from vorspec.spectral import _kinematic_error_table
+
+from conftest import full_spectrum_sums
 
 
 def test_dt_ladder_halves():
@@ -192,7 +194,7 @@ def test_repeated_step_size_rejected_before_any_run(monkeypatch):
 
 class _PerVariableErrors:
     """The convergence observation spelled out per variable, with one
-    _moments call per error plane. With induced set, the psi and velocity
+    full-spectrum Parseval sum per error plane. With induced set, the psi and velocity
     errors are those omega's error induces, built by solve_poisson and
     perp_gradient; else each error is the difference of the step's field
     and the exact one, both built from their own omega."""
@@ -223,7 +225,7 @@ class _PerVariableErrors:
         for var, planes in self._error_planes(flow, decay).items():
             l2sq = h1sq = 0.0
             for err in planes:
-                l2, h1 = _moments(self.grid, err, err)[:2]
+                l2, h1 = full_spectrum_sums(self.grid, err, err)[:2]
                 l2sq, h1sq = l2sq + l2, h1sq + h1
             self.linf[var] = max(self.linf[var], np.sqrt(l2sq))
             self.h1sq[var] += self.dt * h1sq
@@ -318,3 +320,21 @@ def test_convergence_observation_costs_no_transform(monkeypatch, fft_calls):
     assert len(main_loop) == 3 + 8 + 18 + 38 + 78
     for c in main_loop:
         assert c == fft_calls.STEP
+
+
+_VALID_SPECS = {TaylorGreenSpec: {"nu": 1e-3, "t": 0.5},
+                ShearLayerSpec: {"rho": 30.0, "delta": 0.05, "nu": 1e-4}}
+
+
+@pytest.mark.parametrize("spec, name, value", [
+    (TaylorGreenSpec, "t", float("nan")), (TaylorGreenSpec, "t", float("inf")),
+    (TaylorGreenSpec, "t", -float("inf")),
+    (TaylorGreenSpec, "nu", float("nan")),
+    (TaylorGreenSpec, "nu", float("inf")),
+    (ShearLayerSpec, "nu", float("inf"))])
+def test_specs_refuse_non_finite_values(spec, name, value):
+    """TaylorGreenSpec as ShearLayerSpec does, and both for nu: t = nan
+    once built an all-NaN vortex, and nu = inf passed the positivity
+    check."""
+    with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+        spec(**{**_VALID_SPECS[spec], name: value})

@@ -32,7 +32,9 @@ from vorspec import (
     verify_telescope,
 )
 from vorspec.diagnostics import _SOLUTIONS, _telescope_residual
-from vorspec.spectral import _moments, _parseval_table
+from vorspec.spectral import _parseval_table
+
+from conftest import full_spectrum_sums
 
 
 # --- telescope coefficients --------------------------------------------------
@@ -339,9 +341,14 @@ def reference_functionals(history, nu, dt, coeffs):
                         + nu * dt * ksq * (37.0 / 24.0 * p0
                                            + 17.0 / 48.0 * p1
                                            + 17.0 / 96.0 * p2))
+    # every column but l = 0 and the even-N Nyquist column has a conjugate
+    weight = np.full(g.n // 2 + 1, 2.0)
+    weight[0] = 1.0
+    if g.n % 2 == 0:
+        weight[-1] = 1.0
     scale = g.length**2
-    return (scale * float(f_density.sum(axis=0) @ g._weight),
-            scale * float(g1_density.sum(axis=0) @ g._weight))
+    return (scale * float(f_density.sum(axis=0) @ weight),
+            scale * float(g1_density.sum(axis=0) @ weight))
 
 
 def _histories(g, noise):
@@ -436,8 +443,8 @@ def test_div_error_reads_the_norm_the_step_took(noise):
 def test_run_records_match_the_oracles(coeffs, noise, n, scheme):
     """Records made inside a run of each scheme with active convection, one
     every step, startup steps included: F and G1 match the per-mode
-    reference over the run's own three newest levels, and h1_omega one
-    _moments pass on a fresh copy of the vorticity."""
+    reference over the run's own three newest levels, and h1_omega the
+    full-spectrum sum of a fresh copy of the vorticity."""
     g = Grid(n)
     nu, dt = 1e-3, 1e-3
     omegas = []
@@ -451,7 +458,8 @@ def test_run_records_match_the_oracles(coeffs, noise, n, scheme):
             reference_functionals(hist, nu, dt, coeffs), rel=1e-13, abs=0.0)
         fresh = np.array(omegas[k]._half)
         assert rec.h1_omega == pytest.approx(
-            np.sqrt(_moments(g, fresh, fresh)[1]), rel=1e-14, abs=0.0)
+            np.sqrt(full_spectrum_sums(g, fresh, fresh)[1]), rel=1e-14,
+            abs=0.0)
 
 
 # observers that take norms of a step's vorticity before its record does
@@ -508,7 +516,7 @@ def test_record_history_is_the_observed_fields(monkeypatch, noise, scheme):
 
 
 # traced bytes a record may add, measured at about 2.4 kB a record and
-# 2.9 kB over a run; one (4, K) product buffer at N = 128 is 532 kB
+# 2.9 kB over a run; its five product planes at N = 128 are 665 kB
 _RECORD_TRACE_BOUND = 16384
 
 

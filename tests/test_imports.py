@@ -216,8 +216,7 @@ def test_the_step_loop_reads_no_psi_or_velocity():
 
 
 # the Grid tables holding the kinematic symbols and the Parseval layout
-GRID_TABLES = ("_d1x", "_d1y", "_ksq", "_inv_ksq", "_weight", "_parseval",
-               "_neg_rows")
+GRID_TABLES = ("_d1x", "_d1y", "_ksq", "_inv_ksq", "_parseval", "_neg_rows")
 
 
 def test_studies_and_records_read_no_grid_table():
@@ -226,3 +225,27 @@ def test_studies_and_records_read_no_grid_table():
     spectral.py alone."""
     assert attribute_reads_in(("bench.py", "diagnostics.py"),
                               GRID_TABLES) == []
+
+
+def view_calls(source: str):
+    """Lines where source calls a method named view."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "view"})
+
+
+def test_view_call_scan_sees_method_calls_only():
+    source = ("a = h.view(np.float64)\nb = h.view\n# x.view(float)\n"
+              "c = f(h).view(\n    float)\nd = view(h)\n")
+    assert view_calls(source) == [1, 4]
+
+
+def test_only_spectral_knows_the_float_layout():
+    """The convergence study and the diagnostics take no float view of a
+    half spectrum: their Parseval sums go through spectral._parseval_sums,
+    so the layout of (real, imaginary) pairs stays in spectral.py."""
+    found = [f"{name}:{line}" for name in ("bench.py", "diagnostics.py")
+             for line in view_calls(
+                 (PACKAGE_DIR / name).read_text(encoding="utf-8"))]
+    assert found == []

@@ -34,6 +34,8 @@ from vorspec import (
 )
 from vorspec.spectral import _half_to_physical, _sup_norm
 
+from conftest import traced_planes
+
 NU = 1e-3
 LAM = -8.0 * NU * np.pi**2  # decay rate of the resolved vortex mode
 
@@ -517,50 +519,52 @@ def test_handed_out_arrays_stay_put(noise, dealias):
 
 def test_step_memory_budget(step_planes):
     """A step holds only the history ring, the scratch stacks and tables:
-    under 24 half-spectrum planes of traced memory between two observer
-    calls on every step, startup included, and under 21.5 on every
-    third-order step (measured 21.1 to 21.3, step 1 23.5, with the ring of
-    six planes allocated before step 0; 22.1 to 22.2 and step 1 23.6 when
+    under 19.5 half-spectrum planes of traced memory on every third-order
+    step, and under 22 on every step and every record, startup and the
+    record that builds the Parseval table included (measured 19.1 to 19.3
+    on a third-order step, step 1 20.1 and record 0 20.1 with the real
+    two-plane Parseval table; a third-order step 21.1 to 21.3 and record 0
+    23.5 with the interleaved four-plane one, which step 1's interval then
+    held, as it held each record before this count split steps from
+    records: 21.5 and 24 were the bounds; 22.1 to 22.2 and step 1 23.6 when
     each step allocated its omega and N planes afresh, 25.1 to 25.3 when
     each flow state held psi, u and v and the oldest level lived through
     the convection, 26.0 to 26.2 when the convection also cached omega's
-    node values, and 36 when each step also kept the previous state,
-    older levels' node values and u's and v's)."""
-    assert len(step_planes) == 13
-    assert max(step_planes) < 24.0
-    assert max(step_planes[3:]) < 21.5
+    node values, and 36 when each step also kept the previous state, older
+    levels' node values and u's and v's)."""
+    steps, records = step_planes
+    assert len(steps) == len(records) == 13
+    assert max(steps[3:]) < 19.5
+    assert max(steps + records) < 22.0
 
 
 # all-in traced peaks (from before Grid()) measured on the thick layer at
-# N = 64: a third-order step 29.2 to 29.4 planes, step 1 31.7; the margin
-# is the step bound's
-_ALL_IN_BDF3, _ALL_IN_STEP1 = 29.7, 32.0
+# N = 64 when this test runs first in its process: a third-order step 27.3
+# to 27.4 planes, step 1 and record 0, which builds the Parseval table,
+# 28.3 (about 3.6 planes less after another run warmed the process); with
+# the interleaved table, counted with the steps, 29.2 to 29.4 and step 1
+# 31.7 (bounds 29.7 and 32)
+_ALL_IN_BDF3, _ALL_IN_STEP = 27.6, 30.0
 
 
 def test_all_in_memory_budget():
     """Traced from before Grid() is built, so the grid's mode tables, the
     initial vorticity and the Parseval table count too (thick layer,
     N = 64, 12 BDF3 steps, a record every step): every third-order step
-    and step 1 stay under their measured peaks plus a small margin."""
+    stays under its measured peak plus a small margin, and so does every
+    step and record, startup and the table's build included."""
     n, dt, steps = 64, 8e-4, 12
-    plane = n * (n // 2 + 1) * 16
-    peaks = []
 
-    def observe(k, flow):
-        peaks.append(tracemalloc.get_traced_memory()[1] / plane)
-        tracemalloc.reset_peak()
-
-    tracemalloc.start()
-    try:
+    def run_all_in(observe, sink):
         omega0 = v.shear_layer_init(Grid(n), v.ShearLayerSpec(
             rho=30.0, delta=0.05, nu=1e-4))
         run(omega0, RunConfig(n=n, dt=dt, nu=1e-4, t_final=steps * dt),
-            observer=observe)
-    finally:
-        tracemalloc.stop()
-    assert len(peaks) == steps + 1
-    assert max(peaks[3:]) < _ALL_IN_BDF3
-    assert peaks[1] < _ALL_IN_STEP1
+            observer=observe, series_sink=sink)
+
+    step_peaks, record_peaks = traced_planes(n, run_all_in)
+    assert len(step_peaks) == len(record_peaks) == steps + 1
+    assert max(step_peaks[3:]) < _ALL_IN_BDF3
+    assert max(step_peaks + record_peaks) < _ALL_IN_STEP
 
 
 def _counting_detach(monkeypatch):
@@ -664,3 +668,17 @@ def test_node_values_asked_for_late_are_the_same_bits():
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
         assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("scheme", "imex_bdf3"), ("scheme", None), ("scheme", 3),
+    ("dealias", "no"), ("dealias", 1), ("dealias", None)])
+def test_run_config_refuses_a_scheme_or_dealias_of_the_wrong_type(name,
+                                                                   value):
+    """scheme must be a SchemeId and dealias a bool (a numpy bool too):
+    a scheme's name once raised AttributeError and dealias="no" turned
+    dealiasing on."""
+    kw = dict(n=8, dt=1e-3, nu=1e-3, t_final=0.01)
+    with pytest.raises(ConfigError, match=f"^{name} must be a "):
+        RunConfig(**kw, **{name: value})
+    assert RunConfig(**kw, dealias=np.True_).dealias

@@ -2,8 +2,8 @@
 sections, recomputed on the decaying vortex (nu = 1e-3, T = 1), on the two
 benchmark shear layers' initial states and on the scheme's
 frozen-coefficient polynomial; and the plane counts of a step's peak
-memory in "How a step is computed", recomputed from the step_planes
-measurement that bounds them in tests/test_integrators.py.
+memory and of a record's in "How a step is computed", recomputed from the
+step_planes measurement that bounds them in tests/test_integrators.py.
 
 A deterministic value must appear in those sections as formatted here.
 Roundoff seeds the blow-up steps, the polluted errors, the polluted tail
@@ -280,11 +280,12 @@ def test_critical_theta_matches_the_readme(sections):
 
 
 def test_step_plane_counts_match_the_readme(step_planes):
-    """The traced peaks of a third-order step and of the startup step 1,
-    in whole planes."""
+    """The traced peaks of a third-order step, of the startup step 1 and
+    of the largest record, in whole planes."""
     text = README.read_text(encoding="utf-8")
     body = " ".join(text[text.index("## How a step is computed"):
                          text.index("## Command line")].split())
-    bdf3 = round(max(step_planes[3:]))
-    assert f"a third-order step peaks at {bdf3} half-spectrum planes" in body
-    assert f"and step 1 at {round(step_planes[1])}." in body
+    steps, records = step_planes
+    assert (f"a third-order step peaks at {round(max(steps[3:]))} "
+            f"half-spectrum planes, step 1 at {round(steps[1])}, and a "
+            f"record at {round(max(records))} at most") in body

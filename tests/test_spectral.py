@@ -17,6 +17,10 @@ from vorspec import (
     mean,
     perp_gradient,
 )
+from vorspec.spectral import (_kinematic_error_table, _parseval_sums,
+                              _parseval_table, _vel_symbol)
+
+from conftest import full_spectrum_sums
 
 
 def test_grid_basic_properties():
@@ -364,3 +368,57 @@ def test_cached_norms_match_uncached_parseval_sums(noise, n):
                                                     abs=0.0), name
         l2sq = g.spacing**2 * float(np.sum(field.physical ** 2))
         assert _norm_sq(field) == pytest.approx(l2sq, rel=1e-13), name
+
+
+@pytest.mark.parametrize("length", [1.0, 2.0])
+@pytest.mark.parametrize("n", [15, 16, 64, 256])
+def test_parseval_tables_are_ieee_products(n, length):
+    """Every row of the grid's and the convergence study's Parseval tables
+    is, bit for bit, the IEEE product of the mode tables, the column
+    weights and the velocity symbol, with no power function: real and
+    read-only, of shape (rows, N (N//2 + 1))."""
+    g = Grid(n, length)
+    ksq, inv = g._ksq, g._inv_ksq.real
+    d1x, d1y = g._d1x.imag, g._d1y.imag
+    vel = _vel_symbol(g)
+    np.testing.assert_array_equal(vel, (d1x * d1x + d1y * d1y) * (inv * inv))
+    weight = np.full(n // 2 + 1, 2.0)
+    weight[0] = 1.0
+    if n % 2 == 0:
+        weight[-1] = 1.0
+    w = np.broadcast_to(length * length * weight, ksq.shape)
+    tables = {
+        "grid": (_parseval_table(g),
+                 [w, ksq * w, (ksq * ksq) * w, vel * w]),
+        "study": (_kinematic_error_table(g),
+                  [w, (inv * inv) * w, vel * w, ksq * w,
+                   ((inv * inv) * ksq) * w, (vel * ksq) * w]),
+    }
+    for name, (table, rows) in tables.items():
+        assert table.dtype == np.float64, name
+        assert table.shape == (len(rows), ksq.size), name
+        assert not table.flags.writeable, name
+        np.testing.assert_array_equal(table, np.reshape(rows, table.shape))
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_parseval_sums_match_full_spectrum_sums(noise, n):
+    """_parseval_sums over the grid's table gives the L2, H1, H2 and
+    velocity sums of Re(a conj b) over the full spectrum to 1e-13 of the
+    Cauchy-Schwarz scale, Nyquist content and the mean included: for cross
+    pairs, a square, and a square made in place in its own plane."""
+    g = Grid(n, length=2.0)
+    f, h = (noise(g, nyquist_free=False, zero_mean=False)._half
+            for _ in range(2))
+    table = _parseval_table(g)
+    pairs = [(f, h), (h, f), (f, f)]
+    got = _parseval_sums(table, pairs)
+    own = np.array(f)
+    got += _parseval_sums(table, [(own, own)], own[None])
+    square = {id(x): full_spectrum_sums(g, x, x) for x in (f, h)}
+    for (a, b), sums in zip(pairs + [(f, f)], got):
+        want = full_spectrum_sums(g, a, b)
+        scale = np.sqrt(np.multiply(square[id(a)], square[id(b)]))
+        assert len(sums) == 4
+        assert np.all(np.abs(np.subtract(sums, want)) <= 1e-13 * scale), (
+            sums, want)
