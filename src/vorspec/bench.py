@@ -25,7 +25,7 @@ from .fields import FlowState, _check_finite, make_state
 from .integrators import RunConfig, SchemeId, run
 from .output import format_float
 from .spectral import (Grid, ScalarField, _half_norm_sq,
-                       _kinematic_error_table, _parseval_sums, derivative)
+                       _kinematic_error_table, _parseval_pass, derivative)
 
 __all__ = [
     "TaylorGreenSpec",
@@ -162,13 +162,13 @@ class _ErrorAccumulator:
     spectrum is the initial one, ref, times exp(-8 nu pi^2 t). psi and
     (u, v) are linear in omega, so their errors are those omega's error
     induces: an observation forms that one plane and squares it in place
-    in one spectral._parseval_sums pass of _kinematic_error_table, for the
-    L2 and H1 moments of all three errors; it makes no transform."""
+    in one _kinematic_error_table pass, bound once per rung, for the L2
+    and H1 moments of all three errors; it makes no transform."""
 
     def __init__(self, ref, table, nu: float, dt: float):
         self.ref = ref
         self.err = np.empty_like(ref)
-        self.table = table
+        self.sums = _parseval_pass(table, 1, self.err[None])
         self.rate = -8.0 * nu * np.pi**2
         self.dt = dt
         self.linf = [0.0, 0.0, 0.0]
@@ -177,7 +177,7 @@ class _ErrorAccumulator:
     def observe(self, step: int, flow: FlowState):
         err = np.multiply(self.ref, np.exp(self.rate * flow.time), self.err)
         np.subtract(flow.omega._half, err, out=err)
-        moments, = _parseval_sums(self.table, [(err, err)], err[None])
+        moments, = self.sums([(err, err)])
         for i, (l2sq, h1sq) in enumerate(zip(moments[:3], moments[3:])):
             self.linf[i] = max(self.linf[i], math.sqrt(l2sq))
             self.h1sq[i] += self.dt * h1sq

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 import numpy as np
 
 from .errors import GridMismatchError
 from .fields import FlowState
 from .spectral import (Grid, ScalarField, _div_norm_sq, _norm_sq,
-                       _parseval_sums, _parseval_table, _sup_norm,
+                       _parseval_pass, _parseval_table, _sup_norm,
                        inner_product, l2_norm)
 
 __all__ = [
@@ -247,7 +248,14 @@ def _quadratic_forms(alpha):
 _FORMS = _quadratic_forms(_CANONICAL.alpha)
 
 
-def _functionals(history, nu: float, dt: float, grid=None, work=None):
+def _record_passes(grid: Grid, work):
+    """A record's Parseval passes bound into work, a stack of five complex
+    planes: three levels' cross moments (3 table rows), a level's norms."""
+    table = _parseval_table(grid)
+    return _parseval_pass(table[:3], 3, work), _parseval_pass(table, 1, work)
+
+
+def _functionals(history, nu: float, dt: float, grid=None, passes=None):
     """(F, G1) over the newest-first history, from its Gram matrices.
 
     With |.|_m the H^m seminorm (|.|_0 the L2 norm), F and G1 are
@@ -259,12 +267,11 @@ def _functionals(history, nu: float, dt: float, grid=None, work=None):
     at m = 0, (r1, r2) = (7/8, 5/24), e = (7/4, 15/32, 13/64) and at
     m = 1, (r1, r2) = (5/6, 1/6), e = (37/24, 17/48, 17/96): quadratic
     forms in the levels, read off their H^m Gram matrices. The cross
-    products w0 w1, w0 w2 and w1 w2 take their moments from one
-    spectral._parseval_sums pass, in work when given (a complex stack of
-    five half-spectrum planes); the diagonals are the levels' norms, read
-    through _norm_sq, their one producer, so a record's digits do not
-    depend on what took a norm first. Every level must be on grid
-    (default: the first level's).
+    products take their moments from the cross pass of passes, the grid's
+    _record_passes (bound here if None); the diagonals are the levels'
+    norms, read through _norm_sq, their one producer, with its norm pass,
+    so a record's digits do not depend on what took a norm first. Every
+    level must be on grid (default: the first level's).
     """
     hist = list(history)[:_DEPTH]
     if not hist:
@@ -275,13 +282,14 @@ def _functionals(history, nu: float, dt: float, grid=None, work=None):
         raise GridMismatchError(f"history levels on {[f.grid for f in hist]}"
                                 f", expected all on {grid}")
     w0, w1, w2 = (f._half for f in hist)
-    cross = _parseval_sums(_parseval_table(grid)[:3],
-                           [(w0, w1), (w0, w2), (w1, w2)], work)
+    cross, norm = passes or _record_passes(
+        grid, np.empty((2 * _DEPTH - 1, *w0.shape), complex))
+    sums = cross([(w0, w1), (w0, w2), (w1, w2)])
     # [m] = the Gram entries in _GRAM_ORDER
-    gram = [[_norm_sq(f, m, work) for f in hist] + [c[m] for c in cross]
+    gram = [[_norm_sq(f, m, norm) for f in hist] + [c[m] for c in sums]
             for m in range(3)]
-    return tuple(sum(q * g for q, g in zip(qs, gram[m]))
-                 + nu * dt * sum(e * g for e, g in zip(es, gram[m + 1]))
+    return tuple(sum(map(mul, qs, gram[m]))
+                 + nu * dt * sum(map(mul, es, gram[m + 1]))
                  for m, (qs, es) in enumerate(_FORMS))
 
 
@@ -319,33 +327,28 @@ class SeriesRecord:
               "div_error", "max_omega", "F", "G1")
 
     def values(self):
-        return tuple(getattr(self, name) for name in self.FIELDS)
+        return (self.t, self.l2_omega, self.h1_omega, self.energy,
+                self.enstrophy, self.div_error, self.max_omega, self.F,
+                self.G1)
 
 
 def make_record(state: FlowState, history=None, nu: float = 0.0,
-                dt: float = 1.0, *, _work=None) -> SeriesRecord:
+                dt: float = 1.0, *, _passes=None) -> SeriesRecord:
     """Assemble the full diagnostics row for one flow state.
 
     history carries the vorticity levels (newest-first) for the stability
     functionals; when omitted only the current vorticity is used. Columns
     come by Parseval from the spectral views, or for max_omega from the
     norm that run()'s convection caches, so a record in a run costs no
-    transform. Norm columns are their defining functions' or producers'
-    bits (l2_omega is hm_norm(omega, 0)). _work is run()'s complex stack
-    for the products of _functionals; without it a record allocates one.
+    transform. Norm columns are their producers' bits, as the public
+    functions' (l2_omega is hm_norm(omega, 0)). _passes is the grid's
+    _record_passes, bound once per run by run(), else bound per call.
     """
-    if history is None:
-        history = [state.omega]
-    F, G1 = _functionals(history, nu, dt, state.grid, _work)
     omega = state.omega
-    return SeriesRecord(
-        t=state.time,
-        l2_omega=hm_norm(omega, 0),
-        h1_omega=hm_norm(omega, 1),
-        energy=energy(state),
-        enstrophy=enstrophy(state),
-        div_error=div_error(state),
-        max_omega=_sup_norm(omega),
-        F=F,
-        G1=G1,
-    )
+    F, G1 = _functionals([omega] if history is None else history, nu, dt,
+                         state.grid, _passes)
+    return SeriesRecord(state.time, math.sqrt(_norm_sq(omega)),
+                        math.sqrt(_norm_sq(omega, 1)),
+                        0.5 * _norm_sq(omega, -1), 0.5 * _norm_sq(omega),
+                        math.sqrt(_div_norm_sq(omega)), _sup_norm(omega),
+                        F, G1)

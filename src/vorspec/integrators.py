@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .convection import _scratch, _skew_kernel
-from .diagnostics import _DEPTH, SeriesRecord, make_record
+from .diagnostics import _DEPTH, SeriesRecord, _record_passes, make_record
 from .errors import BlowUpError, ConfigError
 from .fields import FlowState, _check_finite, _check_mean, _project_mean
 from .spectral import Grid, ScalarField, _detach, _norm_sq, mean
@@ -353,8 +353,7 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
             f"initial data on {grid} does not match config (n={cfg.n})")
     _check_initial_norm(omega0)
     n_steps, dt, need = cfg.n_steps, cfg.dt, cfg.scheme.history_required
-    records = []
-    last_record = None
+    records, last_record, passes = [], None, None
     scratch = _scratch(grid)
     ring = np.zeros((2 * _DEPTH, grid.n, grid.n // 2 + 1), complex)
     t0 = time.perf_counter()
@@ -395,8 +394,8 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
         if observer is not None:
             observer(k, flow)
         if k % cfg.series_every == 0 or k == n_steps:
-            last_record = make_record(flow, levels, cfg.nu, dt,
-                                      _work=scratch[0])
+            passes = passes or _record_passes(grid, scratch[0])  # bound once
+            last_record = make_record(flow, levels, cfg.nu, dt, _passes=passes)
             records.append(last_record)
             if series_sink is not None:
                 series_sink(last_record)
@@ -407,10 +406,8 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
             del flow
 
     elapsed = time.perf_counter() - t0
-    extrema = {}
-    for name in SeriesRecord.FIELDS:
-        vals = [getattr(r, name) for r in records]
-        extrema[name] = (min(vals), max(vals))
+    extrema = {name: (min(col), max(col)) for name, col in
+               zip(SeriesRecord.FIELDS, zip(*(r.values() for r in records)))}
     return RunSummary(final_state=flow, steps=n_steps,
                       elapsed_seconds=elapsed,
                       seconds_per_step=elapsed / max(n_steps, 1),

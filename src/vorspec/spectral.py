@@ -22,7 +22,7 @@ layout, shape (N, N//2 + 1): columns l = 0 .. N//2, the rest following from
 Hermitian symmetry fhat[-k, -l] = conj(fhat[k, l]). The mode and Parseval
 tables (real rows L^2 w_l s, w_l = 2 where a column also stands for its
 conjugate, else 1), the operators and the time loop all work on this
-layout, which only _parseval_sums reads as (real, imaginary) float pairs.
+layout, which only _parseval_pass reads as (real, imaginary) float pairs.
 At even N column N//2 is the Nyquist column, whose first-derivative symbol
 is zeroed like the Nyquist row. A ScalarField's one value is its half
 spectrum, and its node values are only a cache; the full (N, N) array
@@ -452,39 +452,49 @@ def _kinematic_error_table(grid: Grid):
     return _weighted(grid, rows)
 
 
-def _parseval_sums(table, pairs, out=None):
-    """Per pair (a, b) of C-contiguous half spectra, the sums table @
-    Re(a conj b) over their modes, one per row of a Parseval table. The one
-    code that knows their (real, imaginary) float pairs: it multiplies the
-    float views into a plane of out per pair (a complex stack of
-    2 len(pairs) - 1 planes, made if None). One pair's two columns are
-    summed after a matrix product, so its plane may be a (a square in
-    place); several pairs' go into the next planes for one product."""
-    n = len(pairs)
-    if out is None:
-        out = np.empty((2 * n - 1, *pairs[0][0].shape), complex)
+def _parseval_pass(table, n, out):
+    """A callable taking n pairs (a, b) of C-contiguous half spectra to
+    their sums table @ Re(a conj b), a row each of a Parseval table, with
+    the float views of table and out (a C-contiguous stack of 2 n - 1
+    complex planes: a product per pair, then their pair sums; a lone pair,
+    a plane that may be a, sums after the table product) bound once."""
     prods = out.view(np.float64)
-    for p, (a, b) in zip(prods, pairs):
-        np.multiply(a.view(np.float64), b.view(np.float64), out=p)
-    if n == 1:
-        cols = (table @ prods[0].reshape(-1, 2)).tolist()
-        return [[re + im for re, im in cols]]
-    sums = prods[n:].reshape(-1)[:out[:n].real.size].reshape(out[:n].shape)
-    np.add(out[:n].real, out[:n].imag, out=sums)
-    return (sums.reshape(n, -1) @ table.T).tolist()
+    lanes, cols = list(prods[:n]), prods[0].reshape(-1, 2)
+    real, imag = (part.reshape(-1) for part in (out[:n].real, out[:n].imag))
+    sums = prods[n:].reshape(-1)[:real.size]  # 1-D: numpy adds in no buffer
+    flat, rows = sums.reshape(n, -1), table.T
+    res = np.empty((len(table), 2) if n == 1 else (n, len(table)))
+
+    def pass_(pairs):
+        for lane, (a, b) in zip(lanes, pairs):
+            np.multiply(a.view(np.float64), b.view(np.float64), out=lane)
+        if n == 1:
+            np.dot(table, cols, out=res)
+            return [[re + im for re, im in res.tolist()]]
+        np.add(real, imag, out=sums)
+        return np.dot(flat, rows, out=res).tolist()
+    return pass_
 
 
-def _norm_sq(field: ScalarField, m: int = 0, out=None) -> float:
+def _parseval_sums(table, pairs, out=None):
+    """One call of _parseval_pass(table, len(pairs), out), out made if None."""
+    if out is None:
+        out = np.empty((2 * len(pairs) - 1, *pairs[0][0].shape), complex)
+    return _parseval_pass(table, len(pairs), out)(pairs)
+
+
+def _norm_sq(field: ScalarField, m: int = 0, sums=None) -> float:
     """Squared discrete H^m seminorm (L2 for m = 0) of a field by Parseval,
     cached on the field by this one producer, so its bits never depend on
     who asks first; m = -1 is ||u||^2 + ||v||^2 of its induced velocity.
-    L2 is _half_norm_sq; H1, H2 and m = -1 one _parseval_sums pass (out)."""
+    L2 is _half_norm_sq; H1, H2 and m = -1 one table pass (sums if bound)."""
     norms = field._norms
     if m not in norms:
         g, h = field.grid, field._half
         if m in (-1, 1, 2):
-            (_, norms[1], norms[2], norms[-1]), = _parseval_sums(
-                _parseval_table(g), [(h, h)], out)
+            (_, norms[1], norms[2], norms[-1]), = (
+                _parseval_sums(_parseval_table(g), [(h, h)]) if sums is None
+                else sums([(h, h)]))
         else:
             norms[m] = _half_norm_sq(g, h if m == 0 else h * g._ksq**(m / 2))
     return norms[m]

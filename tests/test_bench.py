@@ -26,6 +26,7 @@ from vorspec import (
     solve_poisson,
     taylor_green_exact,
 )
+from vorspec import bench
 from vorspec.bench import _ErrorAccumulator
 from vorspec.integrators import RunConfig, run
 from vorspec.spectral import _kinematic_error_table
@@ -298,6 +299,29 @@ def test_a_rung_holds_one_error_plane(n):
     finally:
         tracemalloc.stop()
     assert peak < 4096
+
+
+def test_a_study_binds_one_pass_per_rung(monkeypatch):
+    """convergence_study binds its error pass once per rung, when the
+    rung's accumulator is made, and observes every step through it."""
+    binds, observed = [], []
+    bind, observe = bench._parseval_pass, _ErrorAccumulator.observe
+
+    def counted_bind(*args):
+        binds.append(args)
+        return bind(*args)
+
+    def counted_observe(self, step, flow):
+        observed.append(len(binds))
+        return observe(self, step, flow)
+
+    monkeypatch.setattr(bench, "_parseval_pass", counted_bind)
+    monkeypatch.setattr(_ErrorAccumulator, "observe", counted_observe)
+    dts = (0.01, 0.005, 0.0025)
+    convergence_study(16, 1e-3, 0.02, dts=dts)
+    assert [(len(table), n) for table, n, _ in binds] == [(6, 1)] * 3
+    assert observed == [rung for rung, dt in enumerate(dts, 1)
+                        for _ in range(round(0.02 / dt) + 1)]
 
 
 def test_convergence_observation_costs_no_transform(monkeypatch, fft_calls):

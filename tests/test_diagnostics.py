@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vorspec import diagnostics, integrators
+from vorspec import diagnostics, integrators, spectral
 from vorspec import (
     Grid,
     GridMismatchError,
@@ -513,6 +513,61 @@ def test_record_history_is_the_observed_fields(monkeypatch, noise, scheme):
     for k, hist in enumerate(histories):
         expected = omegas[max(0, k - 2):k + 1][::-1]
         assert [id(f) for f in hist] == [id(f) for f in expected]
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+@pytest.mark.parametrize("n", [15, 16])
+def test_run_records_are_the_per_call_records(noise, n, scheme):
+    """Every record run() makes through the passes it binds once is, bit
+    for bit, the record the public per-call path makes, make_record(flow,
+    levels, nu, dt), on the levels the observer saw, and on fresh copies
+    of them, whose norms are not cached yet, so each pass runs again."""
+    g = Grid(n)
+    nu = dt = 1e-3
+    flows = []
+    summary = run(noise(g, nyquist_free=False), RunConfig(
+        n=n, dt=dt, nu=nu, t_final=0.01, scheme=scheme),
+        observer=lambda k, flow: flows.append(flow))
+    omegas = [flow.omega for flow in flows]
+    assert len(summary.records) == len(flows) == 11
+    for k, rec in enumerate(summary.records):
+        levels = omegas[max(0, k - 2):k + 1][::-1]
+        fresh = [ScalarField._adopt(g, np.array(f._half)) for f in levels]
+        for state, hist in ((flows[k], levels),
+                            (make_state(fresh[0], flows[k].time), fresh)):
+            want = make_record(state, hist, nu, dt)
+            assert (np.array(rec.values()).tobytes()
+                    == np.array(want.values()).tobytes()), (k, rec, want)
+
+
+def _counted(monkeypatch, owner, name):
+    """The calls, as argument tuples, of owner.name from here on."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_run_binds_its_record_passes_once(monkeypatch, noise):
+    """A 40-step run with a record every step binds the record's passes
+    once, at its first record, through integrators.make_record: one
+    _record_passes call, whose cross and norm passes are the only
+    _parseval_pass binds; no record binds again."""
+    binds = _counted(monkeypatch, diagnostics, "_parseval_pass")
+    per_call = _counted(monkeypatch, spectral, "_parseval_pass")
+    passes = _counted(monkeypatch, integrators, "_record_passes")
+    records = _counted(monkeypatch, integrators, "make_record")
+    bound = []  # binds seen by each step's observer, before its record
+    run(noise(Grid(16)), RunConfig(n=16, dt=1e-3, nu=1e-3, t_final=0.04),
+        observer=lambda k, flow: bound.append(len(passes)))
+    assert len(records) == 41
+    assert bound == [0] + [1] * 40
+    assert [(len(table), n) for table, n, _ in binds] == [(3, 3), (4, 1)]
+    assert per_call == []
 
 
 # traced bytes a record may add, measured at about 2.4 kB a record and

@@ -521,12 +521,14 @@ def test_step_memory_budget(step_planes):
     """A step holds only the history ring, the scratch stacks and tables:
     under 19.5 half-spectrum planes of traced memory on every third-order
     step, and under 22 on every step and every record, startup and the
-    record that builds the Parseval table included (measured 19.1 to 19.3
-    on a third-order step, step 1 20.1 and record 0 20.1 with the real
-    two-plane Parseval table; a third-order step 21.1 to 21.3 and record 0
-    23.5 with the interleaved four-plane one, which step 1's interval then
-    held, as it held each record before this count split steps from
-    records: 21.5 and 24 were the bounds; 22.1 to 22.2 and step 1 23.6 when
+    record that builds the Parseval table included (measured 19.3 to 19.4
+    on a third-order step, step 1 20.2 and record 0 20.2 with the record's
+    passes bound once per run, 19.1 to 19.3, 20.1 and 20.1 before, with
+    the real two-plane Parseval table; a third-order step 21.1 to 21.3 and
+    record 0 23.5 with the interleaved four-plane one, which step 1's
+    interval then held, as it held each record before this count split
+    steps from records: 21.5 and 24 were the bounds; 22.1 to 22.2 and
+    step 1 23.6 when
     each step allocated its omega and N planes afresh, 25.1 to 25.3 when
     each flow state held psi, u and v and the oldest level lived through
     the convection, 26.0 to 26.2 when the convection also cached omega's
@@ -539,12 +541,14 @@ def test_step_memory_budget(step_planes):
 
 
 # all-in traced peaks (from before Grid()) measured on the thick layer at
-# N = 64 when this test runs first in its process: a third-order step 27.3
-# to 27.4 planes, step 1 and record 0, which builds the Parseval table,
-# 28.3 (about 3.6 planes less after another run warmed the process); with
-# the interleaved table, counted with the steps, 29.2 to 29.4 and step 1
-# 31.7 (bounds 29.7 and 32)
-_ALL_IN_BDF3, _ALL_IN_STEP = 27.6, 30.0
+# N = 64, numpy.fft and BLAS warmed before tracing (traced_planes), so the
+# same in any test order: a third-order step 23.85 to 24.02 planes, step 1
+# and record 0, which builds the Parseval table, 24.75 to 24.87, the
+# record's passes bound once per run included (bounds 27.6 and 30.0 while
+# a first run in its process traced numpy.fft's import: 27.3 to 27.4 and
+# 28.3 then); with the interleaved table, counted with the steps, 29.2 to
+# 29.4 and step 1 31.7 (bounds 29.7 and 32)
+_ALL_IN_BDF3, _ALL_IN_STEP = 24.3, 25.2
 
 
 def test_all_in_memory_budget():

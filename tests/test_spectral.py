@@ -1,5 +1,7 @@
 """Spectral core: grids, transforms, derivatives, inner products."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,8 @@ from vorspec import (
     mean,
     perp_gradient,
 )
-from vorspec.spectral import (_kinematic_error_table, _parseval_sums,
-                              _parseval_table, _vel_symbol)
+from vorspec.spectral import (_kinematic_error_table, _parseval_pass,
+                              _parseval_sums, _parseval_table, _vel_symbol)
 
 from conftest import full_spectrum_sums
 
@@ -422,3 +424,30 @@ def test_parseval_sums_match_full_spectrum_sums(noise, n):
         assert len(sums) == 4
         assert np.all(np.abs(np.subtract(sums, want)) <= 1e-13 * scale), (
             sums, want)
+
+
+# traced bytes a warm bound pass may allocate: its result lists and the
+# product's small array, nothing of a plane's size (33 kB at N = 64)
+_BOUND_PASS_TRACE_BOUND = 1024
+
+
+@pytest.mark.parametrize("rows, n", [(3, 3), (4, 1)])
+def test_a_warm_bound_pass_allocates_no_plane(noise, rows, n):
+    """A pass bound once by _parseval_pass gives _parseval_sums's bits on
+    every call, and a warm call allocates under 1 kB at N = 64: the record's
+    cross pass (three pairs, three rows) and its norm pass (one pair)."""
+    g = Grid(64)
+    f, h = (noise(g)._half for _ in range(2))
+    pairs = [(f, h), (f, f), (h, f)][:n]
+    table = _parseval_table(g)[:rows]
+    sums = _parseval_pass(table, n, np.empty((2 * n - 1, *f.shape), complex))
+    want = _parseval_sums(table, pairs)
+    assert sums(pairs) == want
+    tracemalloc.start()
+    try:
+        got = sums(pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < _BOUND_PASS_TRACE_BOUND
