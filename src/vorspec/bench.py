@@ -208,7 +208,7 @@ def convergence_study(n: int, nu: float, t_final: float,
     status = []
     for cfg in cfgs:
         acc = _ErrorAccumulator(ref, table, nu, cfg.dt)
-        try:  # the summary goes at once: its omega views the run's ring
+        try:
             tail = _tail_fraction(run(exact0.omega, cfg, observer=acc.observe)
                                   .final_state.omega)
         except BlowUpError:

@@ -278,11 +278,10 @@ ALL_CHECKS: tuple = (
 )
 
 
-def run_checks(stream: Optional[IO[str]] = None,
-               checks: tuple = ALL_CHECKS) -> bool:
+def run_checks(stream: Optional[IO[str]] = None) -> bool:
     """Run every check, print one line each, return overall success."""
     ok = True
-    for fn in checks:
+    for fn in ALL_CHECKS:
         result = fn()
         ok = ok and bool(result.passed)
         if stream is not None:

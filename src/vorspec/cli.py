@@ -20,9 +20,9 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .bench import (SHEAR_LAYER_CASES, ShearLayerSpec, TaylorGreenSpec,
-                    _rung_configs, convergence_csv, convergence_study,
-                    shear_layer_init, taylor_green_exact)
+from .bench import (SHEAR_LAYER_CASES, TG_DT_LADDER, ShearLayerSpec,
+                    TaylorGreenSpec, _rung_configs, convergence_csv,
+                    convergence_study, shear_layer_init, taylor_green_exact)
 from .checks import run_checks
 from .diagnostics import get_telescope_coefficients, verify_telescope
 from .errors import BlowUpError, ConfigError
@@ -46,8 +46,8 @@ _TG_CONV_OPTS = (
     ("n", int, 64),
     ("nu", float, 1e-3),
     ("t_final", float, 1.0),
-    ("dt0", float, 0.02),
-    ("levels", int, 5),
+    ("dt0", float, TG_DT_LADDER[0]),
+    ("levels", int, len(TG_DT_LADDER)),
     _SCHEME_OPT,
     ("dealias", bool, False),
     ("output", str, ""),
@@ -77,7 +77,7 @@ _SHEAR_OPTS = (
     ("dt", float, None),
     ("t_final", float, 1.2),
     ("rho", float, None),
-    ("delta", float, 0.05),
+    ("delta", float, None),
     _SCHEME_OPT,
     # thousands of steps per case; step 0 and the final step always emit
     ("series_every", int, 10),
@@ -298,7 +298,7 @@ def _cmd_shear_layer(opts) -> int:
     base_spec, base_n, base_dt = SHEAR_LAYER_CASES[opts.case]
     spec = ShearLayerSpec(
         rho=base_spec.rho if opts.rho is None else opts.rho,
-        delta=opts.delta,
+        delta=base_spec.delta if opts.delta is None else opts.delta,
         nu=base_spec.nu if opts.nu is None else opts.nu)
     return _run_with_series(
         opts, f"shear-{opts.case}", lambda grid: shear_layer_init(grid, spec),

@@ -27,8 +27,8 @@ a1 > 0 and a2, a4, a7 >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import mul
+from dataclasses import dataclass, fields
+from operator import attrgetter, mul
 import numpy as np
 
 from .errors import GridMismatchError
@@ -311,7 +311,8 @@ def stability_G1(history, nu: float, dt: float) -> float:
 
 @dataclass(frozen=True)
 class SeriesRecord:
-    """One row of the diagnostics time series."""
+    """One row of the diagnostics time series; its annotations are the one
+    list of its columns, in order: FIELDS names them, values() reads them."""
 
     t: float
     l2_omega: float
@@ -323,13 +324,12 @@ class SeriesRecord:
     F: float
     G1: float
 
-    FIELDS = ("t", "l2_omega", "h1_omega", "energy", "enstrophy",
-              "div_error", "max_omega", "F", "G1")
-
     def values(self):
-        return (self.t, self.l2_omega, self.h1_omega, self.energy,
-                self.enstrophy, self.div_error, self.max_omega, self.F,
-                self.G1)
+        return _COLUMNS(self)
+
+
+SeriesRecord.FIELDS = tuple(f.name for f in fields(SeriesRecord))
+_COLUMNS = attrgetter(*SeriesRecord.FIELDS)
 
 
 def make_record(state: FlowState, history=None, nu: float = 0.0,

@@ -29,9 +29,10 @@ solve and convection write the new level into the rows of the oldest.
 A step costs one convection evaluation of omega, fourteen 1-D plane
 passes in four numpy calls, and hands observers and sinks a flow state
 holding omega, a read-only view of its ring row that is copied out only
-if someone still holds it when the row is reused; psi and the velocity
-are built only if asked, and every step but the last drops the state.
-Besides it a run holds only the ring, the scratch stacks and its tables.
+if someone still holds it when the row is reused or the run returns; psi
+and the velocity are built only if asked, and every step but the last
+drops the state. Besides it a run holds only the ring, the scratch stacks
+and its tables, and what it returns views none of them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -163,7 +164,7 @@ class RunSummary:
     elapsed_seconds: float
     seconds_per_step: float
     extrema: dict
-    records: list = field(default_factory=list)
+    records: list
 
 
 def _inverse_symbol(grid: Grid, a: float, dt: float, nu: float):
@@ -336,12 +337,13 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
     Each step writes the new vorticity and its convection into its slot's
     two rows under an errstate that leaves overflow to the blow-up guard;
     the guard, observer, record and snapshot run under the caller's.
-    Every omega the run hands out (to observers, sinks, records and the
-    final state) is a read-only view of its row. Before a row is reused,
-    a field that is still held outside the run gets its own copy of the
-    same bits (spectral._detach); one nobody holds costs nothing. Every
-    step but the last ends by dropping its flow state; nothing in the loop
-    writes or clears a node cache.
+    Every omega the run hands out (to observers, sinks and records) is a
+    read-only view of its row. Before a row is reused, and at return after
+    the workspace goes, a field still held outside the run (the final
+    state's omega always) gets its own copy of the same bits
+    (spectral._detach); one nobody holds costs nothing. Every step but the
+    last ends by dropping its flow state; nothing in the loop writes or
+    clears a node cache.
 
     Returns RunSummary; raises ConfigError before step 0 when omega0's L2
     norm is not finite, and BlowUpError when the solution leaves the
@@ -406,6 +408,11 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
             del flow
 
     elapsed = time.perf_counter() - t0
+    # the workspace goes, then every level still held gets its own copy
+    held = [weakref.ref(level) for level in levels]
+    del scratch, passes, rule, levels
+    for level in [ref() for ref in held if ref() is not None]:
+        _detach(level)
     extrema = {name: (min(col), max(col)) for name, col in
                zip(SeriesRecord.FIELDS, zip(*(r.values() for r in records)))}
     return RunSummary(final_state=flow, steps=n_steps,

@@ -476,25 +476,19 @@ def _parseval_pass(table, n, out):
     return pass_
 
 
-def _parseval_sums(table, pairs, out=None):
-    """One call of _parseval_pass(table, len(pairs), out), out made if None."""
-    if out is None:
-        out = np.empty((2 * len(pairs) - 1, *pairs[0][0].shape), complex)
-    return _parseval_pass(table, len(pairs), out)(pairs)
-
-
 def _norm_sq(field: ScalarField, m: int = 0, sums=None) -> float:
     """Squared discrete H^m seminorm (L2 for m = 0) of a field by Parseval,
     cached on the field by this one producer, so its bits never depend on
     who asks first; m = -1 is ||u||^2 + ||v||^2 of its induced velocity.
-    L2 is _half_norm_sq; H1, H2 and m = -1 one table pass (sums if bound)."""
+    L2 is _half_norm_sq; H1, H2 and m = -1 one table pass, sums if bound,
+    else one bound here on a fresh plane."""
     norms = field._norms
     if m not in norms:
         g, h = field.grid, field._half
         if m in (-1, 1, 2):
-            (_, norms[1], norms[2], norms[-1]), = (
-                _parseval_sums(_parseval_table(g), [(h, h)]) if sums is None
-                else sums([(h, h)]))
+            sums = sums or _parseval_pass(_parseval_table(g), 1,
+                                          np.empty((1, *h.shape), complex))
+            (_, norms[1], norms[2], norms[-1]), = sums([(h, h)])
         else:
             norms[m] = _half_norm_sq(g, h if m == 0 else h * g._ksq**(m / 2))
     return norms[m]

@@ -129,6 +129,31 @@ def test_shear_layer_snapshots(tmp_path, capsys):
     assert header.startswith("t,l2_omega,")
 
 
+def test_shear_layer_delta_defaults_to_the_case(capsys, monkeypatch):
+    """Without --delta a shear layer starts from its case's own delta, as
+    it takes the case's rho, nu, N and dt."""
+    spec = vorspec.ShearLayerSpec(rho=30.0, delta=0.1, nu=1e-4)
+    monkeypatch.setitem(vorspec.SHEAR_LAYER_CASES, "thick", (spec, 16, 8e-4))
+    seen, init = [], vorspec.cli.shear_layer_init
+
+    def recording(grid, case_spec):
+        seen.append((grid.n, case_spec))
+        return init(grid, case_spec)
+
+    monkeypatch.setattr("vorspec.cli.shear_layer_init", recording)
+    code, _, _ = run_cli(capsys, "shear-layer", "--t-final", "0.0024")
+    assert code == 0
+    assert seen == [(16, spec)]
+
+
+def test_tg_convergence_defaults_are_the_acceptance_ladder():
+    """--dt0 and --levels default to the ladder they halve down to."""
+    opts = _resolve(build_parser().parse_args(["tg-convergence"]),
+                    _COMMANDS["tg-convergence"][1])
+    dts = [opts.dt0 * 2.0**-i for i in range(opts.levels)]
+    assert dts == list(vorspec.TG_DT_LADDER)
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 16\ndt = 0.01\nt-final = 0.05  # five steps\nnu=1e-3\n")

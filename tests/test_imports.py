@@ -243,7 +243,7 @@ def test_view_call_scan_sees_method_calls_only():
 
 def test_only_spectral_knows_the_float_layout():
     """The convergence study and the diagnostics take no float view of a
-    half spectrum: their Parseval sums go through spectral._parseval_sums,
+    half spectrum: their Parseval sums go through spectral._parseval_pass,
     so the layout of (real, imaginary) pairs stays in spectral.py."""
     found = [f"{name}:{line}" for name in ("bench.py", "diagnostics.py")
              for line in view_calls(

@@ -6,6 +6,7 @@ manufactured solution with genuinely active convection checks the global
 order of each scheme, startup chain included.
 """
 
+import gc
 import tracemalloc
 import weakref
 
@@ -115,6 +116,16 @@ def test_scheme_history_depths():
     assert SchemeId.IMEX_EULER.history_required == 1
     assert SchemeId.IMEX_BDF2.history_required == 2
     assert SchemeId.IMEX_BDF3.history_required == 3
+
+
+def test_bdf3_stencil_is_the_schemes_weights():
+    """The diagnostics' BDF3 stencil and the scheme's weight table encode
+    one combination: on unit vectors bdf3_stencil gives a and the -c_j of
+    _WEIGHTS as floats, bit for bit."""
+    a, c, _ = integrators._WEIGHTS[SchemeId.IMEX_BDF3]
+    got = v.bdf3_stencil(*np.eye(4))
+    want = np.array([float(a)] + [-float(cj) for cj in c])
+    assert got.tobytes() == want.tobytes()
 
 
 # --- helmholtz solve --------------------------------------------------------
@@ -571,6 +582,38 @@ def test_all_in_memory_budget():
     assert max(step_peaks + record_peaks) < _ALL_IN_STEP
 
 
+# traced memory a run leaves behind, read after it returns and gc.collect()
+# (thick layer, N = 64, 12 BDF3 steps, traced from just before run()): the
+# final omega and the grid's two-plane Parseval table, 3.15 to 3.16 planes,
+# and 4.17 with an observer's state of the step before; 8.16 and 8.18 while
+# the final omega viewed the run's six-plane ring
+@pytest.mark.parametrize("keep, bound", [(False, 3.5), (True, 4.5)])
+def test_a_held_summary_holds_no_ring(keep, bound):
+    """Nothing run() returns views its history ring: a held summary costs
+    one plane beside the Parseval table, and a level an observer keeps
+    costs one more."""
+    n, dt, steps = 64, 8e-4, 12
+    spec = v.ShearLayerSpec(rho=30.0, delta=0.05, nu=1e-4)
+    cfg = RunConfig(n=n, dt=dt, nu=1e-4, t_final=steps * dt)
+    run(v.shear_layer_init(Grid(n), spec), cfg)  # numpy's one-time buffers
+    omega0 = v.shear_layer_init(Grid(n), spec)
+    kept = []
+
+    def observe(k, flow):
+        if keep and k == steps - 1:
+            kept.append(flow)
+
+    tracemalloc.start()
+    try:
+        summary = run(omega0, cfg, observer=observe)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] / (n * (n // 2 + 1) * 16)
+    finally:
+        tracemalloc.stop()
+    assert summary.steps == steps and len(kept) == keep
+    assert held < bound
+
+
 def _counting_detach(monkeypatch):
     """Count the copies run() gives the fields it handed out."""
     calls = []
@@ -588,37 +631,44 @@ def test_kept_levels_keep_their_bits_through_ring_reuse(monkeypatch, noise):
     """An observer that keeps every third flow state over 30 BDF3 steps
     finds each kept omega, after the run, equal bit for bit to a copy taken
     when it was observed. Each kept level whose ring row a later step
-    reused was copied once, and only then: 10 of the 11 kept, the last
-    still viewing its row. Handed-out omegas are read-only."""
+    reused was copied once, and only then: 10 of the 11 kept by the last
+    observer call. The last, the final state's omega, is copied once when
+    the run returns. Handed-out omegas are read-only."""
     calls = _counting_detach(monkeypatch)
-    kept = []
+    kept, copies = [], []
 
     def observe(k, flow):
         assert not flow.omega._half.flags.writeable
+        copies.append(len(calls))
         if k % 3 == 0:
             kept.append((k, flow.omega, flow.omega._half.tobytes()))
 
     g = Grid(16)
     summary = run(noise(g), RunConfig(n=16, dt=1e-3, nu=NU, t_final=0.03),
                   observer=observe)
-    assert summary.steps == 30 and len(kept) == 11
+    assert summary.steps == 30 and len(kept) == 11 and copies[-1] == 10
     for k, omega, bits in kept:
         assert omega._half.tobytes() == bits, k
-    assert [id(f) for f in calls] == [id(w) for _, w, _ in kept[:-1]]
+    assert [id(f) for f in calls] == [id(w) for _, w, _ in kept]
     assert kept[-1][1] is summary.final_state.omega
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_a_run_that_keeps_nothing_copies_nothing(monkeypatch, noise, scheme):
-    """With no observer or sink holding a level, no row is ever copied
-    out: every reused row's field is gone by then."""
+    """With no observer or sink holding a level, no row is copied out
+    while the run steps: every reused row's field is gone by then. At
+    return the final state's omega, which the summary holds, is copied
+    once, and nothing else."""
     calls = _counting_detach(monkeypatch)
+    copies = []
     g = Grid(16)
-    run(noise(g), RunConfig(n=16, dt=1e-3, nu=NU, t_final=0.02,
-                            scheme=scheme, snapshot_every=3),
-        series_sink=lambda record: None,
-        snapshot_sink=lambda k, flow: None, observer=lambda k, flow: None)
-    assert calls == []
+    summary = run(noise(g), RunConfig(n=16, dt=1e-3, nu=NU, t_final=0.02,
+                                      scheme=scheme, snapshot_every=3),
+                  series_sink=lambda record: None,
+                  snapshot_sink=lambda k, flow: None,
+                  observer=lambda k, flow: copies.append(len(calls)))
+    assert copies == [0] * 21
+    assert [id(f) for f in calls] == [id(summary.final_state.omega)]
 
 
 def test_flow_states_build_psi_and_velocity_only_when_asked():

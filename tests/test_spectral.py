@@ -20,7 +20,7 @@ from vorspec import (
     perp_gradient,
 )
 from vorspec.spectral import (_kinematic_error_table, _parseval_pass,
-                              _parseval_sums, _parseval_table, _vel_symbol)
+                              _parseval_table, _vel_symbol)
 
 from conftest import full_spectrum_sums
 
@@ -405,7 +405,7 @@ def test_parseval_tables_are_ieee_products(n, length):
 
 @pytest.mark.parametrize("n", [15, 16])
 def test_parseval_sums_match_full_spectrum_sums(noise, n):
-    """_parseval_sums over the grid's table gives the L2, H1, H2 and
+    """A _parseval_pass over the grid's table gives the L2, H1, H2 and
     velocity sums of Re(a conj b) over the full spectrum to 1e-13 of the
     Cauchy-Schwarz scale, Nyquist content and the mean included: for cross
     pairs, a square, and a square made in place in its own plane."""
@@ -414,9 +414,9 @@ def test_parseval_sums_match_full_spectrum_sums(noise, n):
             for _ in range(2))
     table = _parseval_table(g)
     pairs = [(f, h), (h, f), (f, f)]
-    got = _parseval_sums(table, pairs)
+    got = _parseval_pass(table, 3, np.empty((5, *f.shape), complex))(pairs)
     own = np.array(f)
-    got += _parseval_sums(table, [(own, own)], own[None])
+    got += _parseval_pass(table, 1, own[None])([(own, own)])
     square = {id(x): full_spectrum_sums(g, x, x) for x in (f, h)}
     for (a, b), sums in zip(pairs + [(f, f)], got):
         want = full_spectrum_sums(g, a, b)
@@ -433,15 +433,17 @@ _BOUND_PASS_TRACE_BOUND = 1024
 
 @pytest.mark.parametrize("rows, n", [(3, 3), (4, 1)])
 def test_a_warm_bound_pass_allocates_no_plane(noise, rows, n):
-    """A pass bound once by _parseval_pass gives _parseval_sums's bits on
-    every call, and a warm call allocates under 1 kB at N = 64: the record's
-    cross pass (three pairs, three rows) and its norm pass (one pair)."""
+    """A pass bound once by _parseval_pass gives, on every call, the bits
+    of a pass bound for one call on a fresh stack, and a warm call
+    allocates under 1 kB at N = 64: the record's cross pass (three pairs,
+    three rows) and its norm pass (one pair)."""
     g = Grid(64)
     f, h = (noise(g)._half for _ in range(2))
     pairs = [(f, h), (f, f), (h, f)][:n]
     table = _parseval_table(g)[:rows]
-    sums = _parseval_pass(table, n, np.empty((2 * n - 1, *f.shape), complex))
-    want = _parseval_sums(table, pairs)
+    stack = (2 * n - 1, *f.shape)
+    sums = _parseval_pass(table, n, np.empty(stack, complex))
+    want = _parseval_pass(table, n, np.empty(stack, complex))(pairs)
     assert sums(pairs) == want
     tracemalloc.start()
     try:
