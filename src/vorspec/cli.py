@@ -152,10 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str) -> dict:
-    """Parse a UTF-8 key=value file into a string-valued dict."""
-    out = {}
+    """Parse a UTF-8 key=value file, with or without a byte order mark,
+    into a string-valued dict; a key given twice is an error."""
+    out, first = {}, {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 body = line.split("#", 1)[0].strip()
                 if not body:
@@ -164,7 +165,11 @@ def _read_config(path: str) -> dict:
                     raise ConfigError(
                         f"{path}:{lineno}: expected key=value, got {body!r}")
                 key, _, value = body.partition("=")
-                out[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key in first:
+                    raise ConfigError(f"{path}: config key {key} given twice, "
+                                      f"on lines {first[key]} and {lineno}")
+                out[key], first[key] = value.strip(), lineno
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     return out

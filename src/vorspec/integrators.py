@@ -29,10 +29,10 @@ solve and convection write the new level into the rows of the oldest.
 A step costs one convection evaluation of omega, fourteen 1-D plane
 passes in four numpy calls, and hands observers and sinks a flow state
 holding omega, a read-only view of its ring row that is copied out only
-if someone still holds it when the row is reused or the run returns; psi
+if someone still holds it when the row is reused or the run ends; psi
 and the velocity are built only if asked, and every step but the last
 drops the state. Besides it a run holds only the ring, the scratch stacks
-and its tables, and what it returns views none of them.
+and its tables, and what it returns or raises views none of them.
 """
 
 from __future__ import annotations
@@ -338,16 +338,17 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
     two rows under an errstate that leaves overflow to the blow-up guard;
     the guard, observer, record and snapshot run under the caller's.
     Every omega the run hands out (to observers, sinks and records) is a
-    read-only view of its row. Before a row is reused, and at return after
-    the workspace goes, a field still held outside the run (the final
-    state's omega always) gets its own copy of the same bits
-    (spectral._detach); one nobody holds costs nothing. Every step but the
-    last ends by dropping its flow state; nothing in the loop writes or
-    clears a node cache.
+    read-only view of its row. Before a row is reused, and at the loop's
+    one exit (a return or any raise) after the workspace goes, a field
+    still held outside the run (the final state's omega always) gets its
+    own copy of the same bits (spectral._detach); one nobody holds costs
+    nothing. Every step but the last ends by dropping its flow state;
+    nothing in the loop writes or clears a node cache.
 
     Returns RunSummary; raises ConfigError before step 0 when omega0's L2
     norm is not finite, and BlowUpError when the solution leaves the
     finite range, reporting the failing step and the last good record.
+    What an observer or sink raises (to stop the run, say) leaves as is.
     """
     grid = omega0.grid
     if grid.n != cfg.n:
@@ -369,50 +370,52 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
                                           scratch)][:need - 1]
     schedule += [imex(s) for s in SchemeId if 1 < s.history_required < need]
     rule = imex(cfg.scheme)
-    levels = ()  # the omega fields of the ring, newest first
-    for k in range(n_steps + 1):
-        if len(levels) == _DEPTH:  # the oldest level's row is reused
-            oldest = weakref.ref(levels[-1])
-            levels = levels[:-1]
-            if oldest() is not None:
-                _detach(oldest())
-        # an overflowing step leaves inf or nan for the blow-up guard to
-        # report; observers and sinks run outside, under their own errstate
-        with np.errstate(over="ignore", invalid="ignore"):
+    levels, w_h = (), None  # levels: the ring's omega fields, newest first
+    try:  # a return and a raise let go of the workspace alike
+        for k in range(n_steps + 1):
+            if len(levels) == _DEPTH:  # the oldest level's row is reused
+                oldest = weakref.ref(levels[-1])
+                levels = levels[:-1]
+                if oldest() is not None:
+                    _detach(oldest())
+            # an overflowing step leaves inf or nan for the blow-up guard to
+            # report; observers and sinks run outside, under their own errstate
+            with np.errstate(over="ignore", invalid="ignore"):
+                if k == 0:
+                    ring[0] = omega0._half
+                    w_h = _project_mean(ring[0])
+                else:
+                    w_h = (schedule.pop(0) if schedule else rule)(k)
+                flow = FlowState(ScalarField._adopt(grid, w_h), k * dt)
+                _skew_kernel(flow.omega, cfg.dealias, scratch,
+                             out=ring[_DEPTH + k % _DEPTH])
+            levels = (flow.omega,) + levels
+            # the convection's divergence precondition cached ||w||_2 on omega
+            w_l2 = math.sqrt(_norm_sq(flow.omega))
             if k == 0:
-                ring[0] = omega0._half
-                w_h = _project_mean(ring[0])
-            else:
-                w_h = (schedule.pop(0) if schedule else rule)(k)
-            flow = FlowState(ScalarField._adopt(grid, w_h), k * dt)
-            _skew_kernel(flow.omega, cfg.dealias, scratch,
-                         out=ring[_DEPTH + k % _DEPTH])
-        levels = (flow.omega,) + levels
-        # the convection's divergence precondition cached ||w||_2 on omega
-        w_l2 = math.sqrt(_norm_sq(flow.omega))
-        if k == 0:
-            ref_l2 = w_l2
-        _check_blowup(w_l2, ref_l2, k, last_record)
-        if observer is not None:
-            observer(k, flow)
-        if k % cfg.series_every == 0 or k == n_steps:
-            passes = passes or _record_passes(grid, scratch[0])  # bound once
-            last_record = make_record(flow, levels, cfg.nu, dt, _passes=passes)
-            records.append(last_record)
-            if series_sink is not None:
-                series_sink(last_record)
-        if cfg.snapshot_every > 0 and k % cfg.snapshot_every == 0 \
-                and snapshot_sink is not None:
-            snapshot_sink(k, flow)
-        if k < n_steps:  # no step reads the flow state
-            del flow
-
-    elapsed = time.perf_counter() - t0
-    # the workspace goes, then every level still held gets its own copy
-    held = [weakref.ref(level) for level in levels]
-    del scratch, passes, rule, levels
-    for level in [ref() for ref in held if ref() is not None]:
-        _detach(level)
+                ref_l2 = w_l2
+            _check_blowup(w_l2, ref_l2, k, last_record)
+            if observer is not None:
+                observer(k, flow)
+            if k % cfg.series_every == 0 or k == n_steps:
+                passes = passes or _record_passes(grid, scratch[0])  # once
+                last_record = make_record(flow, levels, cfg.nu, dt,
+                                          _passes=passes)
+                records.append(last_record)
+                if series_sink is not None:
+                    series_sink(last_record)
+            if cfg.snapshot_every > 0 and k % cfg.snapshot_every == 0 \
+                    and snapshot_sink is not None:
+                snapshot_sink(k, flow)
+            if k < n_steps:  # no step reads the flow state
+                del flow
+    finally:
+        elapsed = time.perf_counter() - t0
+        # the workspace goes, then every level still held gets its own copy
+        held = [weakref.ref(level) for level in levels]
+        del ring, scratch, passes, schedule, rule, levels, w_h
+        for level in [ref() for ref in held if ref() is not None]:
+            _detach(level)
     extrema = {name: (min(col), max(col)) for name, col in
                zip(SeriesRecord.FIELDS, zip(*(r.values() for r in records)))}
     return RunSummary(final_state=flow, steps=n_steps,

@@ -209,6 +209,34 @@ def test_config_line_without_equals_rejected_in_one_line(tmp_path, capsys):
     assert f"{cfg}:2: expected key=value, got 'dt 0.01'" in err
 
 
+def test_config_file_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    """A file saved with a UTF-8 byte order mark reads as one without."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=16\ndt=0.01\nt-final=0.05\nnu=1e-3\n",
+                   encoding="utf-8-sig")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, out, _ = run_cli(capsys, "tg-longrun", "--config", str(cfg))
+    assert code == 0
+    assert len(out.strip().split("\n")) == 1 + 6
+
+
+@pytest.mark.parametrize("text, key, lines", [
+    ("n=8\nn=16\n", "n", (1, 2)),
+    ("snapshot-every=2\ndt=0.01\nsnapshot_every = 3\n", "snapshot_every",
+     (1, 3)),
+])
+def test_config_key_given_twice_rejected(tmp_path, capsys, text, key, lines):
+    """A key given twice, under either spelling, is refused in one line
+    that names it and both its lines, before any run."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "tg-longrun", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert (f"{cfg}: config key {key} given twice, on lines {lines[0]} "
+            f"and {lines[1]}") in err
+
+
 def test_refused_allocation_reported_in_one_line(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 128. TiB for an array")

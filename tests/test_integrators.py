@@ -582,35 +582,62 @@ def test_all_in_memory_budget():
     assert max(step_peaks + record_peaks) < _ALL_IN_STEP
 
 
-# traced memory a run leaves behind, read after it returns and gc.collect()
-# (thick layer, N = 64, 12 BDF3 steps, traced from just before run()): the
-# final omega and the grid's two-plane Parseval table, 3.15 to 3.16 planes,
-# and 4.17 with an observer's state of the step before; 8.16 and 8.18 while
-# the final omega viewed the run's six-plane ring
+class _Stop(Exception):
+    """What an observer or sink raises to stop a run early."""
+
+
+# traced memory a run leaves behind, read after gc.collect() with its summary
+# or its exception held (thick layer, N = 64, traced from just before run()):
+# the final omega and the grid's two-plane Parseval table, 3.15 to 3.25
+# planes, and 4.17 to 4.27 with an observer's state of the step before;
+# 19.2 to 19.3, the whole workspace, when only a return let go of it
 @pytest.mark.parametrize("keep, bound", [(False, 3.5), (True, 4.5)])
-def test_a_held_summary_holds_no_ring(keep, bound):
-    """Nothing run() returns views its history ring: a held summary costs
-    one plane beside the Parseval table, and a level an observer keeps
-    costs one more."""
+@pytest.mark.parametrize("exit", ["return", "blowup", "observer", "sink"])
+def test_no_exit_of_run_holds_the_ring(exit, keep, bound):
+    """Whether run() returns, blows up (dt = 0.05 at step 18), or stops at
+    step 8 because its observer or its sink raises, what the caller holds
+    afterwards, the summary or the exception with its traceback, views
+    none of the workspace: one plane beside the Parseval table, and one
+    more for a level the observer kept."""
     n, dt, steps = 64, 8e-4, 12
     spec = v.ShearLayerSpec(rho=30.0, delta=0.05, nu=1e-4)
     cfg = RunConfig(n=n, dt=dt, nu=1e-4, t_final=steps * dt)
     run(v.shear_layer_init(Grid(n), spec), cfg)  # numpy's one-time buffers
+    last = {"return": steps, "blowup": 18}.get(exit, 8)
+    if exit == "blowup":
+        cfg = RunConfig(n=n, dt=0.05, nu=1e-4, t_final=30 * 0.05)
     omega0 = v.shear_layer_init(Grid(n), spec)
-    kept = []
+    kept, records = [], []
 
     def observe(k, flow):
-        if keep and k == steps - 1:
+        if keep and k == last - 1:
             kept.append(flow)
+        if exit == "observer" and k == last:
+            raise _Stop
+
+    def sink(record):
+        records.append(record)
+        if exit == "sink" and len(records) == last + 1:
+            raise _Stop
 
     tracemalloc.start()
     try:
-        summary = run(omega0, cfg, observer=observe)
+        try:
+            outcome = run(omega0, cfg, observer=observe, series_sink=sink)
+        except (BlowUpError, _Stop) as exc:
+            outcome = exc
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] / (n * (n // 2 + 1) * 16)
     finally:
         tracemalloc.stop()
-    assert summary.steps == steps and len(kept) == keep
+    if exit == "return":
+        assert outcome.steps == steps
+    else:
+        assert isinstance(outcome, BlowUpError if exit == "blowup" else _Stop)
+        assert outcome.__traceback__ is not None
+    assert getattr(outcome, "step", last) == last
+    assert len(kept) == keep
+    assert len(records) == last + (exit in ("return", "sink"))
     assert held < bound
 
 
