@@ -161,11 +161,11 @@ def _read_config(path: str) -> dict:
                 body = line.split("#", 1)[0].strip()
                 if not body:
                     continue
-                if "=" not in body:
+                key, eq, value = body.partition("=")
+                key = key.strip().replace("-", "_")
+                if not (eq and key):
                     raise ConfigError(
                         f"{path}:{lineno}: expected key=value, got {body!r}")
-                key, _, value = body.partition("=")
-                key = key.strip().replace("-", "_")
                 if key in first:
                     raise ConfigError(f"{path}: config key {key} given twice, "
                                       f"on lines {first[key]} and {lineno}")

@@ -13,26 +13,28 @@ The skew convection term N counts the transport twice (advective plus flux
 form), so the extrapolation weights above are half the usual explicit
 multistep weights; their sums are 1/2, making each scheme consistent with
 the single transport term of the vorticity equation.
-A startup schedule built before step 0 takes w^1 by one explicit-midpoint
-RK2 step and, for BDF3, w^2 by one BDF2 step, each rule dropped after its
-step; this preserves third-order global accuracy. Step 1 thus treats
+The startup takes w^1 by one explicit-midpoint RK2 step and, for BDF3,
+w^2 by one BDF2 step, whose table is dropped after it; this preserves
+third-order global accuracy. Step 1 thus treats
 diffusion explicitly: it multiplies a diffusing mode by 1 + z + z^2/2,
 z = -nu (2 pi / L)^2 |k|^2 dt, which damps the mode only while z >= -2.
 
 run() is the one way to advance a solution and holds the only step loop;
 its observer sees the flow state of every step from step 0 on, and the
-domain length comes from the initial vorticity's grid. Its one history,
-read by steps and records, is a ring of the three newest levels' omega
-and N half spectra (rfft2 layout), allocated once per run: a step's
-right-hand side is one product of a weight row with the ring, and its
-solve and convection write the new level into the rows of the oldest.
-A step costs one convection evaluation of omega, fourteen 1-D plane
-passes in four numpy calls, and hands observers and sinks a flow state
-holding omega, a read-only view of its ring row that is copied out only
-if someone still holds it when the row is reused or the run ends; psi
-and the velocity are built only if asked, and every step but the last
-drops the state. Besides it a run holds only the ring, the scratch stacks
-and its tables, and what it returns or raises views none of them.
+domain length comes from the initial vorticity's grid. It is the only frame
+that calls user code (forcing, observer, sinks): the step helpers take the
+forcing's half spectra as arrays. Its one history, read by steps and
+records, is a ring of the three newest levels' omega and N half spectra
+(rfft2 layout), allocated once per run: a step's right-hand side is one
+product of a weight row with the ring, and its solve and convection write
+the new level into the rows of the oldest. A step costs one convection
+evaluation of omega, fourteen 1-D plane passes in four numpy calls, and
+hands observers and sinks a flow state holding omega, a read-only view of
+its ring row that is copied out only if someone still holds it when the row
+is reused or the run ends; psi and the velocity are built only if asked,
+and every step but the last drops the state. Besides it a run holds only
+the ring, the scratch stacks and its tables, and what it returns or raises
+views none of them.
 """
 
 from __future__ import annotations
@@ -217,13 +219,12 @@ def _forcing_half(forcing, t: float, grid: Grid):
 
 
 def _solver(grid: Grid, scheme: SchemeId, dt: float, nu: float):
-    """(rows, dt, 1/(a/dt + nu ksq)) of one scheme, built once per run.
+    """(rows, 1/(a/dt + nu ksq)) of one scheme, built once per run.
 
     rows[s] weighs the history ring's rows (see run()) for the step whose
     new level goes into slot s: the vorticity weights as p/(q dt) (see
     _WEIGHTS) and the convection weights, each on the slot of its level.
-    The slots of levels the scheme does not read get weight 0. dt is the
-    step of the forcing times, the table the inverse of _helmholtz.
+    The slots of levels the scheme does not read get weight 0.
     """
     a, w_weights, n_weights = _WEIGHTS[scheme]
     rows = np.zeros((_DEPTH, 2 * _DEPTH))
@@ -232,12 +233,13 @@ def _solver(grid: Grid, scheme: SchemeId, dt: float, nu: float):
             slot = (s - 1 - j) % _DEPTH
             rows[s, slot] = c.numerator / (c.denominator * dt)
             rows[s, _DEPTH + slot] = e
-    return rows, dt, _inverse_symbol(grid, float(a), dt, nu)
+    return rows, _inverse_symbol(grid, float(a), dt, nu)
 
 
-def _implicit_omega(grid: Grid, ring, k: int, solver, forcing, scratch):
+def _implicit_omega(ring, k: int, solver, f_h, scratch):
     """Vorticity of step k by one step of an IMEX scheme, into its ring
-    row k % _DEPTH; solver is the scheme's _solver.
+    row k % _DEPTH; solver is the scheme's _solver, f_h the forcing's half
+    spectrum at k dt or None.
 
     The right-hand side is one product of the slot's weight row with the
     ring's float view, into the first plane of scratch's complex stack. A
@@ -247,8 +249,7 @@ def _implicit_omega(grid: Grid, ring, k: int, solver, forcing, scratch):
     that passed it, so finite in every mode but the mean, which each step
     projects away.
     """
-    rows, dt, inverse = solver
-    f_h = _forcing_half(forcing, k * dt, grid)
+    rows, inverse = solver
     rhs, slot = scratch[0][0], k % _DEPTH
     np.dot(rows[slot], ring.view(np.float64).reshape(len(ring), -1),
            out=rhs.view(np.float64).reshape(-1))
@@ -257,8 +258,9 @@ def _implicit_omega(grid: Grid, ring, k: int, solver, forcing, scratch):
     return _project_mean(_helmholtz(rhs, inverse, out=ring[slot]))
 
 
-def _midpoint_omega(grid: Grid, ring, cfg: RunConfig, forcing, scratch):
-    """Vorticity of step 1 by one explicit-midpoint step, into ring row 1.
+def _midpoint_omega(grid: Grid, ring, cfg: RunConfig, f_h, scratch):
+    """Vorticity of step 1 by one explicit-midpoint step, into ring row 1;
+    f_h holds the forcing's half spectra at 0 and dt/2, each or None.
 
     Each stage's fully explicit right-hand side -N/2 + nu Lap w + f is
     formed in the ring's free rows 1, 2, 4 and 5 in the order of the
@@ -270,23 +272,21 @@ def _midpoint_omega(grid: Grid, ring, cfg: RunConfig, forcing, scratch):
     w_mid, stage, lap = ring[2], ring[_DEPTH + 2], ring[_DEPTH + 1]
     dt, nu = cfg.dt, cfg.nu
 
-    def explicit_rhs(w_h, conv_h, t, out):
+    def explicit_rhs(w_h, conv_h, f_h, out):
         """-N/2 + nu Lap w + f into out (which may be conv_h)."""
         np.multiply(-0.5, conv_h, out=out)
         np.negative(grid._ksq, out=lap.real)
         lap.imag = 0.0
         out += np.multiply(nu, np.multiply(lap, w_h, out=lap), out=lap)
-        f_h = _forcing_half(forcing, t, grid)
         if f_h is not None:
             out += f_h
-        return out
 
-    explicit_rhs(w0, conv0, 0.0, stage)
+    explicit_rhs(w0, conv0, f_h[0], stage)
     _project_mean(np.add(w0, np.multiply(0.5 * dt, stage, out=w_mid),
                          out=w_mid))
     _skew_kernel(ScalarField._adopt(grid, w_mid), cfg.dealias, scratch,
                  out=stage)
-    explicit_rhs(w_mid, stage, 0.5 * dt, stage)
+    explicit_rhs(w_mid, stage, f_h[1], stage)
     w1 = _project_mean(np.add(w0, np.multiply(dt, stage, out=stage),
                               out=ring[1]))
     ring[2::_DEPTH] = 0.0
@@ -348,7 +348,7 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
     Returns RunSummary; raises ConfigError before step 0 when omega0's L2
     norm is not finite, and BlowUpError when the solution leaves the
     finite range, reporting the failing step and the last good record.
-    What an observer or sink raises (to stop the run, say) leaves as is.
+    What a forcing, observer or sink raises leaves as is.
     """
     grid = omega0.grid
     if grid.n != cfg.n:
@@ -360,16 +360,11 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
     scratch = _scratch(grid)
     ring = np.zeros((2 * _DEPTH, grid.n, grid.n // 2 + 1), complex)
     t0 = time.perf_counter()
-
-    def imex(scheme):
-        solver = _solver(grid, scheme, dt, cfg.nu)
-        return lambda k: _implicit_omega(grid, ring, k, solver, forcing,
-                                         scratch)
-
-    schedule = [lambda k: _midpoint_omega(grid, ring, cfg, forcing,
-                                          scratch)][:need - 1]
-    schedule += [imex(s) for s in SchemeId if 1 < s.history_required < need]
-    rule = imex(cfg.scheme)
+    # the startup as data: step 1 by the explicit midpoint if the scheme
+    # reads more levels, then one _solver table a step, then the rule
+    startup = [_solver(grid, s, dt, cfg.nu) for s in SchemeId
+               if 1 < s.history_required < need]
+    rule = _solver(grid, cfg.scheme, dt, cfg.nu)
     levels, w_h = (), None  # levels: the ring's omega fields, newest first
     try:  # a return and a raise let go of the workspace alike
         for k in range(n_steps + 1):
@@ -384,8 +379,15 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
                 if k == 0:
                     ring[0] = omega0._half
                     w_h = _project_mean(ring[0])
-                else:
-                    w_h = (schedule.pop(0) if schedule else rule)(k)
+                else:  # the forcing at the times the step's rule reads it
+                    midpoint = k == 1 and need > 1
+                    f_h = [_forcing_half(forcing, c * dt, grid)
+                           for c in ((0.0, 0.5) if midpoint else (k,))]
+                    w_h = (_midpoint_omega(grid, ring, cfg, f_h, scratch)
+                           if midpoint else _implicit_omega(
+                               ring, k, startup.pop(0) if startup else rule,
+                               f_h[0], scratch))
+                    del f_h  # no later raise keeps the forcing's planes
                 flow = FlowState(ScalarField._adopt(grid, w_h), k * dt)
                 _skew_kernel(flow.omega, cfg.dealias, scratch,
                              out=ring[_DEPTH + k % _DEPTH])
@@ -413,7 +415,7 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
         elapsed = time.perf_counter() - t0
         # the workspace goes, then every level still held gets its own copy
         held = [weakref.ref(level) for level in levels]
-        del ring, scratch, passes, schedule, rule, levels, w_h
+        del ring, scratch, passes, startup, rule, levels, w_h
         for level in [ref() for ref in held if ref() is not None]:
             _detach(level)
     extrema = {name: (min(col), max(col)) for name, col in

@@ -209,6 +209,19 @@ def test_config_line_without_equals_rejected_in_one_line(tmp_path, capsys):
     assert f"{cfg}:2: expected key=value, got 'dt 0.01'" in err
 
 
+@pytest.mark.parametrize("line, body", [("=3", "=3"), (" = 3", "= 3")])
+def test_config_line_with_an_empty_key_rejected_in_one_line(tmp_path, capsys,
+                                                             line, body):
+    """A line with nothing before its '=' is refused with its line number,
+    not reported as an unknown key with no name."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n=16\n{line}\n")
+    code, out, err = run_cli(capsys, "tg-longrun", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert f"{cfg}:2: expected key=value, got {body!r}" in err
+
+
 def test_config_file_with_a_byte_order_mark_is_read(tmp_path, capsys):
     """A file saved with a UTF-8 byte order mark reads as one without."""
     cfg = tmp_path / "run.cfg"

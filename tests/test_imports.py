@@ -249,3 +249,42 @@ def test_only_spectral_knows_the_float_layout():
              for line in view_calls(
                  (PACKAGE_DIR / name).read_text(encoding="utf-8"))]
     assert found == []
+
+
+def forcing_readers(source: str, owners=("run", "_forcing_half")):
+    """Top-level functions and classes of source, owners aside, that take
+    a forcing parameter or read the name forcing or _forcing_half; what a
+    nested function or lambda does counts for the definition around it."""
+    return [top.name for top in ast.parse(source).body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            and top.name not in owners
+            and any(isinstance(node, ast.arg) and node.arg == "forcing"
+                    or isinstance(node, ast.Name)
+                    and node.id in ("forcing", "_forcing_half")
+                    for node in ast.walk(top))]
+
+
+def test_forcing_scan_sees_parameters_reads_and_calls():
+    source = ("def run(forcing):\n    return _forcing_half(forcing, 0.0)\n"
+              "def _forcing_half(forcing, t):\n    return forcing(t)\n"
+              "def takes(grid, forcing=None):\n    pass\n"
+              "def reads():\n    return forcing\n"
+              "def calls(f):\n    return _forcing_half(f, 1.0)\n"
+              "def nested():\n    return lambda t: forcing(t)\n"
+              "class Rule:\n    def step(self):\n        return forcing\n"
+              "def attribute(cfg):\n    return cfg.forcing, 'forcing'\n")
+    assert forcing_readers(source) == ["takes", "reads", "calls", "nested",
+                                       "Rule"]
+
+
+def test_only_run_calls_the_forcing():
+    """run() is the only frame of a step that calls user code: in
+    integrators.py no function but run takes or reads the forcing, and
+    _forcing_half, the one helper that calls it, is called once, from run,
+    so no step helper whose frame views the history ring or the scratch
+    stacks is in the traceback of what the forcing raises."""
+    source = (PACKAGE_DIR / "integrators.py").read_text(encoding="utf-8")
+    assert forcing_readers(source) == []
+    assert [node.func.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_forcing_half"] == ["_forcing_half"]

@@ -480,7 +480,7 @@ def test_startup_solver_freed_after_step_two(monkeypatch, scheme, kept):
 
     def tracked(grid, s, dt, nu):
         built = solver(grid, s, dt, nu)
-        tables[s] = weakref.ref(built[2])
+        tables[s] = weakref.ref(built[-1])
         return built
 
     monkeypatch.setattr(integrators, "_solver", tracked)
@@ -590,15 +590,19 @@ class _Stop(Exception):
 # or its exception held (thick layer, N = 64, traced from just before run()):
 # the final omega and the grid's two-plane Parseval table, 3.15 to 3.25
 # planes, and 4.17 to 4.27 with an observer's state of the step before;
-# 19.2 to 19.3, the whole workspace, when only a return let go of it
+# 19.2 to 19.3, the whole workspace, when only a return let go of it; a
+# forcing's exception at step 8 holds 2.13 to 2.15, and 3.15 to 3.16 with
+# the kept state (19.0 to 20.1 while a step helper called the forcing)
 @pytest.mark.parametrize("keep, bound", [(False, 3.5), (True, 4.5)])
-@pytest.mark.parametrize("exit", ["return", "blowup", "observer", "sink"])
+@pytest.mark.parametrize("exit", ["return", "blowup", "observer", "sink",
+                                  "forcing", "forcing_grid"])
 def test_no_exit_of_run_holds_the_ring(exit, keep, bound):
     """Whether run() returns, blows up (dt = 0.05 at step 18), or stops at
-    step 8 because its observer or its sink raises, what the caller holds
-    afterwards, the summary or the exception with its traceback, views
-    none of the workspace: one plane beside the Parseval table, and one
-    more for a level the observer kept."""
+    step 8 because its observer, its sink or its forcing raises, or its
+    forcing returns a field on another grid (ConfigError), what the caller
+    holds afterwards, the summary or the exception with its traceback,
+    views none of the workspace: one plane beside the Parseval table, and
+    one more for a level the observer kept."""
     n, dt, steps = 64, 8e-4, 12
     spec = v.ShearLayerSpec(rho=30.0, delta=0.05, nu=1e-4)
     cfg = RunConfig(n=n, dt=dt, nu=1e-4, t_final=steps * dt)
@@ -607,7 +611,14 @@ def test_no_exit_of_run_holds_the_ring(exit, keep, bound):
     if exit == "blowup":
         cfg = RunConfig(n=n, dt=0.05, nu=1e-4, t_final=30 * 0.05)
     omega0 = v.shear_layer_init(Grid(n), spec)
+    zero = ScalarField.from_physical(Grid(n), np.zeros((n, n)))
+    other = ScalarField.from_physical(Grid(8), np.zeros((8, 8)))
     kept, records = [], []
+
+    def forcing(t):
+        if exit == "forcing" and t == last * dt:
+            raise _Stop
+        return other if exit == "forcing_grid" and t == last * dt else zero
 
     def observe(k, flow):
         if keep and k == last - 1:
@@ -623,8 +634,9 @@ def test_no_exit_of_run_holds_the_ring(exit, keep, bound):
     tracemalloc.start()
     try:
         try:
-            outcome = run(omega0, cfg, observer=observe, series_sink=sink)
-        except (BlowUpError, _Stop) as exc:
+            outcome = run(omega0, cfg, observer=observe, series_sink=sink,
+                          forcing=forcing if "forcing" in exit else None)
+        except (BlowUpError, ConfigError, _Stop) as exc:
             outcome = exc
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] / (n * (n // 2 + 1) * 16)
@@ -633,7 +645,8 @@ def test_no_exit_of_run_holds_the_ring(exit, keep, bound):
     if exit == "return":
         assert outcome.steps == steps
     else:
-        assert isinstance(outcome, BlowUpError if exit == "blowup" else _Stop)
+        raised = {"blowup": BlowUpError, "forcing_grid": ConfigError}
+        assert isinstance(outcome, raised.get(exit, _Stop))
         assert outcome.__traceback__ is not None
     assert getattr(outcome, "step", last) == last
     assert len(kept) == keep
