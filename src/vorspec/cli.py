@@ -26,7 +26,7 @@ from .bench import (SHEAR_LAYER_CASES, TG_DT_LADDER, ShearLayerSpec,
 from .checks import run_checks
 from .diagnostics import get_telescope_coefficients, verify_telescope
 from .errors import BlowUpError, ConfigError
-from .integrators import RunConfig, SchemeId, _check_initial_norm, run
+from .integrators import RunConfig, SchemeId, _check_norm, run
 from .output import CsvSeriesWriter, format_float, write_pgm, write_raw
 from .spectral import Grid
 
@@ -250,7 +250,7 @@ def _run_with_series(opts, prefix: str, initial, n: int, dt: float,
                     snapshot_every=opts.snapshot_every,
                     dealias=opts.dealias)
     omega0 = initial(Grid(n))
-    _check_initial_norm(omega0)
+    _check_norm(omega0, "initial vorticity")
     snap = None
     if opts.snapshot_every > 0:
         snap = _snapshot_sink(opts.snapshot_dir, prefix, opts.snapshot_format)

@@ -199,7 +199,7 @@ def hm_norm(f: ScalarField, m: int) -> float:
     """
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError("m must be a nonnegative integer")
-    return float(np.sqrt(_norm_sq(f, m)))
+    return math.sqrt(_norm_sq(f, m))
 
 
 def energy(state: FlowState) -> float:
@@ -216,7 +216,7 @@ def enstrophy(state: FlowState) -> float:
 def div_error(state: FlowState) -> float:
     """L2 norm of the discrete velocity divergence, cached on omega: in
     run() by the convection's divergence precondition."""
-    return float(np.sqrt(_div_norm_sq(state.omega)))
+    return math.sqrt(_div_norm_sq(state.omega))
 
 
 # the vorticity levels F and G1 read: the depth of every run's history
@@ -340,15 +340,13 @@ def make_record(state: FlowState, history=None, nu: float = 0.0,
     functionals; when omitted only the current vorticity is used. Columns
     come by Parseval from the spectral views, or for max_omega from the
     norm that run()'s convection caches, so a record in a run costs no
-    transform. Norm columns are their producers' bits, as the public
-    functions' (l2_omega is hm_norm(omega, 0)). _passes is the grid's
-    _record_passes, bound once per run by run(), else bound per call.
+    transform. Columns l2_omega to div_error are the public functions of
+    their names (l2_omega, h1_omega: hm_norm at m = 0, 1). _passes is the
+    grid's _record_passes, bound once per run by run(), else per call.
     """
     omega = state.omega
     F, G1 = _functionals([omega] if history is None else history, nu, dt,
                          state.grid, _passes)
-    return SeriesRecord(state.time, math.sqrt(_norm_sq(omega)),
-                        math.sqrt(_norm_sq(omega, 1)),
-                        0.5 * _norm_sq(omega, -1), 0.5 * _norm_sq(omega),
-                        math.sqrt(_div_norm_sq(omega)), _sup_norm(omega),
-                        F, G1)
+    return SeriesRecord(state.time, hm_norm(omega, 0), hm_norm(omega, 1),
+                        energy(state), enstrophy(state), div_error(state),
+                        _sup_norm(omega), F, G1)

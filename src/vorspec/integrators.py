@@ -27,7 +27,8 @@ forcing's half spectra as arrays. Its one history, read by steps and
 records, is a ring of the three newest levels' omega and N half spectra
 (rfft2 layout), allocated once per run: a step's right-hand side is one
 product of a weight row with the ring, and its solve and convection write
-the new level into the rows of the oldest. A step costs one convection
+the new level into the rows of the oldest and no others, so a row a step
+weighs by 0 holds zeros or an earlier level. A step costs one convection
 evaluation of omega, fourteen 1-D plane passes in four numpy calls, and
 hands observers and sinks a flow state holding omega, a read-only view of
 its ring row that is copied out only if someone still holds it when the row
@@ -211,10 +212,14 @@ def _forcing_half(forcing, t: float, grid: Grid):
     """Half spectrum of the forcing at time t, or None."""
     if forcing is None:
         return None
-    f = forcing(t)
+    f, what = forcing(t), f"forcing at t = {t}"
+    if not isinstance(f, ScalarField):
+        raise ConfigError(f"{what} is of type {type(f).__name__}, not a "
+                          "ScalarField")
     if f.grid != grid:
-        raise ConfigError("forcing returned a field on the wrong grid")
-    _check_mean(mean(f), f"forcing at t = {t}")
+        raise ConfigError(f"{what} is a field on the wrong grid, {f.grid}")
+    _check_norm(f, what)
+    _check_mean(mean(f), what)
     return f._half
 
 
@@ -243,11 +248,11 @@ def _implicit_omega(ring, k: int, solver, f_h, scratch):
 
     The right-hand side is one product of the slot's weight row with the
     ring's float view, into the first plane of scratch's complex stack. A
-    row with weight 0 adds an exact 0: it holds zeros from the ring's
-    start, a vorticity whose finite norm passed the blow-up guard, or a
-    convection an earlier step read with a nonzero weight into a level
-    that passed it, so finite in every mode but the mean, which each step
-    projects away.
+    row with weight 0 adds an exact 0: since no step writes outside its
+    own slot, it holds the ring's initial zeros, a vorticity whose finite
+    norm passed the blow-up guard, or a convection an earlier step read
+    with a nonzero weight into a level that passed it, so finite in every
+    mode but the mean, which each step projects away.
     """
     rows, inverse = solver
     rhs, slot = scratch[0][0], k % _DEPTH
@@ -263,13 +268,14 @@ def _midpoint_omega(grid: Grid, ring, cfg: RunConfig, f_h, scratch):
     f_h holds the forcing's half spectra at 0 and dt/2, each or None.
 
     Each stage's fully explicit right-hand side -N/2 + nu Lap w + f is
-    formed in the ring's free rows 1, 2, 4 and 5 in the order of the
-    expression -0.5 * N + nu * (-ksq * w) + f, so its bits are those of
-    that expression; no half-step flow state is built. Rows 2 and 5,
-    which step 2 reads with weight 0, are zeroed at the end.
+    formed in the order of the expression -0.5 * N + nu * (-ksq * w) + f,
+    so its bits are those of that expression; no half-step flow state is
+    built. Like every step, it writes only its slot's rows: the half-step
+    omega and its convection sit there until w^1 and the loop's N(w^1)
+    replace them, the first stage and the Laplacian in scratch.
     """
     w0, conv0 = ring[0], ring[_DEPTH]
-    w_mid, stage, lap = ring[2], ring[_DEPTH + 2], ring[_DEPTH + 1]
+    w_mid, stage, (rhs, lap) = ring[1], ring[_DEPTH + 1], scratch[0][:2]
     dt, nu = cfg.dt, cfg.nu
 
     def explicit_rhs(w_h, conv_h, f_h, out):
@@ -281,16 +287,15 @@ def _midpoint_omega(grid: Grid, ring, cfg: RunConfig, f_h, scratch):
         if f_h is not None:
             out += f_h
 
-    explicit_rhs(w0, conv0, f_h[0], stage)
-    _project_mean(np.add(w0, np.multiply(0.5 * dt, stage, out=w_mid),
+    explicit_rhs(w0, conv0, f_h[0], rhs)
+    _project_mean(np.add(w0, np.multiply(0.5 * dt, rhs, out=w_mid),
                          out=w_mid))
-    _skew_kernel(ScalarField._adopt(grid, w_mid), cfg.dealias, scratch,
+    # a fresh view to adopt: _adopt makes the array it is given read-only
+    _skew_kernel(ScalarField._adopt(grid, ring[1]), cfg.dealias, scratch,
                  out=stage)
     explicit_rhs(w_mid, stage, f_h[1], stage)
-    w1 = _project_mean(np.add(w0, np.multiply(dt, stage, out=stage),
-                              out=ring[1]))
-    ring[2::_DEPTH] = 0.0
-    return w1
+    return _project_mean(np.add(w0, np.multiply(dt, stage, out=stage),
+                                out=w_mid))
 
 
 def _check_blowup(w_l2: float, ref_l2: float, step: int, last_record):
@@ -301,14 +306,14 @@ def _check_blowup(w_l2: float, ref_l2: float, step: int, last_record):
             f"(initial {ref_l2:.6e})", step=step, last_record=last_record)
 
 
-def _check_initial_norm(omega0: ScalarField):
-    """Refuse initial vorticity whose L2 norm is not finite, a bad input
-    rather than a blow-up; run() and the CLI both ask before step 0."""
+def _check_norm(field: ScalarField, what: str):
+    """Refuse a field whose L2 norm is not finite, a bad input rather than
+    a blow-up: the initial vorticity (run() and the CLI, before step 0) or
+    a forcing's value; what names it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        w_l2 = math.sqrt(_norm_sq(omega0))
-    if not math.isfinite(w_l2):
-        raise ConfigError(f"initial vorticity has no finite L2 norm "
-                          f"(||w||_2 = {w_l2:.6e})")
+        l2 = math.sqrt(_norm_sq(field))
+    if not math.isfinite(l2):
+        raise ConfigError(f"{what} has no finite L2 norm ({l2:.6e})")
 
 
 def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
@@ -346,15 +351,16 @@ def run(omega0: ScalarField, cfg: RunConfig, *, forcing=None,
     nothing in the loop writes or clears a node cache.
 
     Returns RunSummary; raises ConfigError before step 0 when omega0's L2
-    norm is not finite, and BlowUpError when the solution leaves the
-    finite range, reporting the failing step and the last good record.
+    norm is not finite or at a step whose forcing is no finite field on
+    its grid, and BlowUpError when the solution leaves the finite range,
+    reporting the failing step and the last good record.
     What a forcing, observer or sink raises leaves as is.
     """
     grid = omega0.grid
     if grid.n != cfg.n:
         raise ConfigError(
             f"initial data on {grid} does not match config (n={cfg.n})")
-    _check_initial_norm(omega0)
+    _check_norm(omega0, "initial vorticity")
     n_steps, dt, need = cfg.n_steps, cfg.dt, cfg.scheme.history_required
     records, last_record, passes = [], None, None
     scratch = _scratch(grid)

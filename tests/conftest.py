@@ -4,8 +4,9 @@ Random fields are drawn in spectral space with a power-law falloff and
 realized through a physical round trip so they are exactly real. Even-N
 grids zero their first-derivative Nyquist multipliers, so helpers default
 to Nyquist-free spectra; tests that probe the Nyquist behavior opt out.
-The fft_calls fixture counts the numpy.fft calls of a test, and
-step_planes measures the traced memory of a run's steps and records.
+filled makes constant fields, non-finite ones included. The fft_calls
+fixture counts the numpy.fft calls of a test, and step_planes measures
+the traced memory of a run's steps and records.
 """
 
 import math
@@ -38,6 +39,13 @@ def _noise(grid, rng, decay=2.0, zero_mean=True, nyquist_free=True):
         coef[:, n // 2] = 0.0
     phys = np.fft.ifft2(coef).real * (n * n)
     return ScalarField.from_physical(grid, phys)
+
+
+def filled(n, value):
+    """A field on Grid(n) whose node values all equal value (nan or inf
+    included, for inputs a run must refuse)."""
+    with np.errstate(invalid="ignore"):
+        return ScalarField.from_physical(Grid(n), np.full((n, n), value))
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ from vorspec import (
 )
 from vorspec.spectral import _half_to_physical, _sup_norm
 
-from conftest import traced_planes
+from conftest import filled, traced_planes
 
 NU = 1e-3
 LAM = -8.0 * NU * np.pi**2  # decay rate of the resolved vortex mode
@@ -417,6 +417,52 @@ def test_run_rejects_forcing_on_the_wrong_grid():
         run(tg_omega0(16), tg_config(n=16), forcing=lambda t: other)
 
 
+@pytest.mark.parametrize("bad, what", [
+    (np.zeros((16, 16)), "is of type ndarray, not a ScalarField"),
+    (filled(16, np.nan), "has no finite L2 norm"),
+    (filled(16, np.inf), "has no finite L2 norm")])
+def test_run_refuses_a_forcing_value_that_is_no_finite_field(bad, what):
+    """A forcing that returns a plain array (once an AttributeError) or a
+    field with nan or inf values (once reported as a blow-up at step 1)
+    ends the run in a one-line ConfigError that names the time."""
+    spec = v.ShearLayerSpec(rho=30.0, delta=0.05, nu=1e-4)
+    zero = filled(16, 0.0)
+    cfg = RunConfig(n=16, dt=8e-4, nu=1e-4, t_final=6 * 8e-4)
+    with pytest.raises(ConfigError) as info:
+        run(v.shear_layer_init(Grid(16), spec), cfg,
+            forcing=lambda t: bad if t == 3 * cfg.dt else zero)
+    message = str(info.value)
+    assert message.startswith(f"forcing at t = {3 * cfg.dt} {what}")
+    assert "\n" not in message
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_a_step_writes_only_its_own_slot(monkeypatch, scheme):
+    """Every step writes only its own slot's two ring rows, step 1's
+    explicit midpoint too, which keeps its temporaries in the scratch
+    stacks: at every convection call of a run (its out is a ring row, so
+    out.base is the ring) each slot no call has written to yet still holds
+    the ring's initial zeros in its omega and its N row."""
+    depth = integrators._DEPTH
+    written, dirty = set(), []
+    kernel = integrators._skew_kernel
+
+    def checked(omega, dealias, scratch, vel=None, out=None):
+        ring = out.base
+        written.update(s for s in range(depth)
+                       if np.shares_memory(out, ring[depth + s]))
+        dirty.append([s for s in range(depth) if s not in written
+                      and (ring[s].any() or ring[depth + s].any())])
+        return kernel(omega, dealias, scratch, vel=vel, out=out)
+
+    monkeypatch.setattr(integrators, "_skew_kernel", checked)
+    spec = v.ShearLayerSpec(rho=30.0, delta=0.05, nu=1e-4)
+    run(v.shear_layer_init(Grid(16), spec),
+        RunConfig(n=16, dt=8e-4, nu=1e-4, t_final=4 * 8e-4, scheme=scheme))
+    midpoint = scheme.history_required > 1
+    assert dirty == [[]] * (5 + midpoint)
+
+
 # --- transform budget ----------------------------------------------------------
 
 
@@ -591,18 +637,21 @@ class _Stop(Exception):
 # the final omega and the grid's two-plane Parseval table, 3.15 to 3.25
 # planes, and 4.17 to 4.27 with an observer's state of the step before;
 # 19.2 to 19.3, the whole workspace, when only a return let go of it; a
-# forcing's exception at step 8 holds 2.13 to 2.15, and 3.15 to 3.16 with
-# the kept state (19.0 to 20.1 while a step helper called the forcing)
+# forcing's exception at step 8 (raised or refused) holds 2.13 to 2.17, and
+# 3.15 to 3.19 with the kept state (19.0 to 20.1 while a step helper called
+# the forcing)
 @pytest.mark.parametrize("keep, bound", [(False, 3.5), (True, 4.5)])
 @pytest.mark.parametrize("exit", ["return", "blowup", "observer", "sink",
-                                  "forcing", "forcing_grid"])
+                                  "forcing", "forcing_grid", "forcing_array",
+                                  "forcing_nan"])
 def test_no_exit_of_run_holds_the_ring(exit, keep, bound):
     """Whether run() returns, blows up (dt = 0.05 at step 18), or stops at
     step 8 because its observer, its sink or its forcing raises, or its
-    forcing returns a field on another grid (ConfigError), what the caller
-    holds afterwards, the summary or the exception with its traceback,
-    views none of the workspace: one plane beside the Parseval table, and
-    one more for a level the observer kept."""
+    forcing returns a field on another grid, a plain array or a field of
+    nan values (ConfigError), what the caller holds afterwards, the
+    summary or the exception with its traceback, views none of the
+    workspace: one plane beside the Parseval table, and one more for a
+    level the observer kept."""
     n, dt, steps = 64, 8e-4, 12
     spec = v.ShearLayerSpec(rho=30.0, delta=0.05, nu=1e-4)
     cfg = RunConfig(n=n, dt=dt, nu=1e-4, t_final=steps * dt)
@@ -612,13 +661,16 @@ def test_no_exit_of_run_holds_the_ring(exit, keep, bound):
         cfg = RunConfig(n=n, dt=0.05, nu=1e-4, t_final=30 * 0.05)
     omega0 = v.shear_layer_init(Grid(n), spec)
     zero = ScalarField.from_physical(Grid(n), np.zeros((n, n)))
-    other = ScalarField.from_physical(Grid(8), np.zeros((8, 8)))
+    bad = {"forcing_grid": ScalarField.from_physical(Grid(8),
+                                                     np.zeros((8, 8))),
+           "forcing_array": np.zeros((n, n)),
+           "forcing_nan": filled(n, np.nan)}
     kept, records = [], []
 
     def forcing(t):
         if exit == "forcing" and t == last * dt:
             raise _Stop
-        return other if exit == "forcing_grid" and t == last * dt else zero
+        return bad.get(exit, zero) if t == last * dt else zero
 
     def observe(k, flow):
         if keep and k == last - 1:
@@ -645,8 +697,9 @@ def test_no_exit_of_run_holds_the_ring(exit, keep, bound):
     if exit == "return":
         assert outcome.steps == steps
     else:
-        raised = {"blowup": BlowUpError, "forcing_grid": ConfigError}
-        assert isinstance(outcome, raised.get(exit, _Stop))
+        raised = (BlowUpError if exit == "blowup" else ConfigError
+                  if exit in bad else _Stop)
+        assert isinstance(outcome, raised)
         assert outcome.__traceback__ is not None
     assert getattr(outcome, "step", last) == last
     assert len(kept) == keep

@@ -1,15 +1,20 @@
-"""Property tests over configuration parsing and the whole command line:
-any drawn value is either accepted as a consistent configuration or
-rejected with ConfigError, and any drawn command line keeps the CLI's exit
-contract.
+"""Property tests over configuration parsing, the whole command line and
+run()'s callbacks: any drawn value is either accepted as a consistent
+configuration or rejected with ConfigError, any drawn command line keeps
+the CLI's exit contract, and any drawn bad forcing value or raising
+observer or sink ends a run in an exception that holds none of its
+workspace.
 
-No drawn value ever sizes a Grid or starts a run, since a drawn grid size
-could ask for gigabytes: the command-line test replaces everything that
-computes with stubs.
+No drawn value ever sizes a Grid, since a drawn grid size could ask for
+gigabytes: the command-line test replaces everything that computes with
+stubs, and the callback test's runs are fixed at N = 64.
 """
 
 import contextlib
+import functools
+import gc
 import io
+import itertools
 import math
 import tempfile
 import tracemalloc
@@ -17,11 +22,16 @@ import warnings
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vorspec import ConfigError, Grid, RunConfig, cli
+from vorspec import (ConfigError, Grid, RunConfig, ScalarField, SchemeId,
+                     ShearLayerSpec, VorspecError, cli, run,
+                     shear_layer_init)
 from vorspec.cli import _COMMANDS, _coerce
+
+from conftest import filled
 
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True,
                       allow_subnormal=True)
@@ -222,3 +232,74 @@ def test_cli_exit_contract_over_hostile_draws(draw, via_config):
         assert text.count("\n") == 1 and text.endswith("\n"), (argv, text)
         assert caught == [], (argv, [str(w.message) for w in caught])
         assert peak < REJECTED_PEAK_BOUND, (argv, peak)
+
+
+# --- run()'s callbacks ---------------------------------------------------------
+
+RUN_N, RUN_STEPS, RUN_DT = 64, 8, 8e-4
+RUN_OMEGA0 = shear_layer_init(Grid(RUN_N), ShearLayerSpec(rho=30.0,
+                                                          delta=0.05,
+                                                          nu=1e-4))
+# the bound of test_no_exit_of_run_holds_the_ring on a kept exception
+KEPT_PLANES = 3.5
+
+
+# what a forcing returns once it turns bad, and before that
+BAD_FORCINGS = {"wrong grid": ScalarField.zeros(Grid(8)),
+                "mean": filled(RUN_N, 1.0), "nan": filled(RUN_N, np.nan),
+                "inf": filled(RUN_N, np.inf),
+                "array": np.zeros((RUN_N, RUN_N))}
+GOOD_FORCING = filled(RUN_N, 0.0)
+
+
+class _Stop(Exception):
+    """What a drawn observer or sink raises."""
+
+
+@functools.cache
+def _warm():
+    """numpy's one-time buffers, made before any traced run."""
+    run(RUN_OMEGA0, RunConfig(n=RUN_N, dt=RUN_DT, nu=1e-4,
+                              t_final=3 * RUN_DT))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(culprit=st.sampled_from(sorted(BAD_FORCINGS) + ["observer", "sink"]),
+       at=st.integers(0, RUN_STEPS - 1), scheme=st.sampled_from(SchemeId))
+def test_a_bad_callback_ends_a_run_in_an_error_holding_no_workspace(
+        culprit, at, scheme):
+    """A forcing that turns bad at its call number at (a field on another
+    grid, with a mean, with nan or inf values, or a plain array), or an
+    observer or sink that raises at its call number at, ends run() in a
+    VorspecError or in the exception it raised; kept with its traceback,
+    that exception holds under KEPT_PLANES planes (N = 64, traced from
+    just before run() and read after gc.collect())."""
+    _warm()
+    calls = itertools.count()
+    forcing = culprit in BAD_FORCINGS
+
+    def callback(*args):
+        if next(calls) < at:
+            return GOOD_FORCING if forcing else None
+        if forcing:
+            return BAD_FORCINGS[culprit]
+        raise _Stop
+
+    role = {"observer": "observer", "sink": "series_sink"}.get(culprit,
+                                                               "forcing")
+    cfg = RunConfig(n=RUN_N, dt=RUN_DT, nu=1e-4,
+                    t_final=RUN_STEPS * RUN_DT, scheme=scheme)
+    kept = None
+    tracemalloc.start()
+    try:
+        try:
+            run(RUN_OMEGA0, cfg, **{role: callback})
+        except (VorspecError, _Stop) as exc:
+            kept = exc
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] / (RUN_N * (RUN_N // 2 + 1)
+                                                     * 16)
+    finally:
+        tracemalloc.stop()
+    assert isinstance(kept, VorspecError if forcing else _Stop), kept
+    assert held < KEPT_PLANES, held
