@@ -35,7 +35,7 @@ from vorspec import (
 )
 from vorspec.spectral import _half_to_physical, _sup_norm
 
-from conftest import filled, traced_planes
+from conftest import KEPT_PLANES, filled, traced_planes
 
 NU = 1e-3
 LAM = -8.0 * NU * np.pi**2  # decay rate of the resolved vortex mode
@@ -640,7 +640,8 @@ class _Stop(Exception):
 # forcing's exception at step 8 (raised or refused) holds 2.13 to 2.17, and
 # 3.15 to 3.19 with the kept state (19.0 to 20.1 while a step helper called
 # the forcing)
-@pytest.mark.parametrize("keep, bound", [(False, 3.5), (True, 4.5)])
+@pytest.mark.parametrize("keep, bound", [(False, KEPT_PLANES),
+                                         (True, KEPT_PLANES + 1)])
 @pytest.mark.parametrize("exit", ["return", "blowup", "observer", "sink",
                                   "forcing", "forcing_grid", "forcing_array",
                                   "forcing_nan"])

@@ -31,7 +31,7 @@ from vorspec import (ConfigError, Grid, RunConfig, ScalarField, SchemeId,
                      shear_layer_init)
 from vorspec.cli import _COMMANDS, _coerce
 
-from conftest import filled
+from conftest import KEPT_PLANES, filled
 
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True,
                       allow_subnormal=True)
@@ -240,9 +240,6 @@ RUN_N, RUN_STEPS, RUN_DT = 64, 8, 8e-4
 RUN_OMEGA0 = shear_layer_init(Grid(RUN_N), ShearLayerSpec(rho=30.0,
                                                           delta=0.05,
                                                           nu=1e-4))
-# the bound of test_no_exit_of_run_holds_the_ring on a kept exception
-KEPT_PLANES = 3.5
-
 
 # what a forcing returns once it turns bad, and before that
 BAD_FORCINGS = {"wrong grid": ScalarField.zeros(Grid(8)),
